@@ -3,7 +3,7 @@
 //! Design-choice evidence for the automatic backend switch in
 //! `suod_linalg::KnnIndex`: the KD-tree wins decisively at low
 //! dimensionality and loses its edge as `d` grows (the switch threshold
-//! is d <= 15).
+//! is `d <= DEFAULT_KDTREE_CROSSOVER_DIM`, i.e. d <= 6).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

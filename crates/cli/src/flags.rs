@@ -535,7 +535,7 @@ FIT / DETECT / TRACE OPTIONS:
                         hnsw = seeded approximate graph (recall
                         >= 0.95 at defaults; small n and
                         non-Euclidean metrics fall back to exact)
-  --ef-search <ef>      HNSW search beam width (recall knob)  [64]
+  --ef-search <ef>      HNSW search beam width (recall knob)  [48]
   --no-rp | --no-psa | --no-bps   disable a SUOD module
 
 FIT OPTIONS:

@@ -599,6 +599,16 @@ mod tests {
     }
 
     #[test]
+    fn help_shows_the_default_ef_search() {
+        let line = usage()
+            .lines()
+            .find(|l| l.trim_start().starts_with("--ef-search"))
+            .expect("help documents --ef-search");
+        let default = format!("[{}]", suod_linalg::DEFAULT_EF_SEARCH);
+        assert!(line.trim_end().ends_with(&default), "{line}");
+    }
+
+    #[test]
     fn parses_detect_flags() {
         let cmd = parse_args(&argv(
             "detect --dataset cardio --scale 0.1 --models 8 --no-rp --workers 3 --seed 7",

@@ -123,7 +123,9 @@ fn write_config(config: &SuodBuilder, w: &mut SnapshotWriter) {
     w.write_u64(config.seed);
     w.write_bool(config.neighbor_cache_enabled);
     w.write_kernel_config(&config.kernel);
-    w.write_opt_u64(config.ef_search.map(|v| v as u64));
+    // Retired slot of the removed `ef_search` builder override; it was
+    // folded into `kernel` at `build()`, so it is always written empty.
+    w.write_opt_u64(None);
     w.write_f64(config.min_healthy_fraction);
     w.write_usize(config.max_model_retries);
     w.write_f64(config.straggler_factor);
@@ -155,7 +157,8 @@ fn read_config(r: &mut SnapshotReader<'_>) -> Result<SuodBuilder> {
     config.seed = r.read_u64()?;
     config.neighbor_cache_enabled = r.read_bool()?;
     config.kernel = r.read_kernel_config()?;
-    config.ef_search = r.read_opt_u64()?.map(|v| v as usize);
+    // Retired `ef_search` override: `kernel` above already carries it.
+    r.read_opt_u64()?;
     config.min_healthy_fraction = r.read_f64()?;
     config.max_model_retries = r.read_usize()?;
     config.straggler_factor = r.read_f64()?;

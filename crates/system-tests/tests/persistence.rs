@@ -507,61 +507,119 @@ fn warm_refit_reuses_survivors_and_stays_deterministic() {
     let x = data();
     let q = queries();
     let specs = full_pool();
-    let model_fits = |recorder: &RecordingObserver| {
-        let trace = recorder.trace();
-        trace.spans_of(suod::observe::Stage::ModelFit).count()
-            + trace.spans_of(suod::observe::Stage::ModelRetry).count()
+    let spans = |recorder: &RecordingObserver, stage: suod::observe::Stage| {
+        recorder.trace().spans_of(stage).count()
     };
-
-    let recorder = Arc::new(RecordingObserver::new());
-    let mut warm = fit(
-        Suod::builder()
-            .base_estimators(specs.clone())
-            .with_projection(false)
-            .observer(recorder.clone())
-            .seed(7),
-        &x,
-    );
-    let after_cold = model_fits(&recorder);
-    assert_eq!(after_cold, specs.len());
-    let expected = warm.combined_scores(&q).unwrap();
-
-    // Identical recipe on identical data: every model is carried over,
-    // zero model fits run, and no score bit moves.
-    warm.warm_refit(&x, specs.clone()).expect("warm refit");
-    assert_eq!(
-        model_fits(&recorder),
-        after_cold,
-        "a no-op warm refit must not refit any model"
-    );
-    assert_eq!(warm.combined_scores(&q).unwrap(), expected);
-
-    // Change one spec: exactly one model refits, and the result is
-    // bitwise-equal to a cold fit of the modified recipe.
+    let model_fits = |recorder: &RecordingObserver| {
+        spans(recorder, suod::observe::Stage::ModelFit)
+            + spans(recorder, suod::observe::Stage::ModelRetry)
+    };
+    let distills = |recorder: &RecordingObserver| spans(recorder, suod::observe::Stage::PsaDistill);
+    // The RP-off recipe, then the defaults (RP + PSA on): carried-over
+    // models must line up with a cold fit whether or not their feature
+    // spaces are projected.
+    let config = |projection: bool| Suod::builder().with_projection(projection).seed(7);
+    // One proximity spec (kNN, PSA-distilled) and one cheap spec (HBOS).
     let mut modified = specs.clone();
+    modified[0] = ModelSpec::Knn {
+        n_neighbors: 6,
+        method: KnnMethod::Largest,
+    };
     modified[4] = ModelSpec::Hbos {
         n_bins: 12,
         tolerance: 0.2,
     };
-    warm.warm_refit(&x, modified.clone()).expect("warm refit");
-    assert_eq!(
-        model_fits(&recorder),
-        after_cold + 1,
-        "changing one spec must refit exactly one model"
-    );
-    let cold = fit(
-        Suod::builder()
-            .base_estimators(modified)
-            .with_projection(false)
-            .seed(7),
-        &x,
-    );
-    assert_eq!(
-        warm.combined_scores(&q).unwrap(),
-        cold.combined_scores(&q).unwrap(),
-        "warm refit must match a cold fit of the new recipe bitwise"
-    );
 
-    // New data is refused, never silently retrained.
-    assert!(warm.warm_refit(&q, specs).is_err());
+    for (name, projection) in [("rp-off", false), ("defaults", true)] {
+        for workers in [1, 2] {
+            let ctx = format!("{name}, {workers} worker(s)");
+            let recorder = Arc::new(RecordingObserver::new());
+            let mut warm = fit(
+                config(projection)
+                    .base_estimators(specs.clone())
+                    .n_workers(workers)
+                    .observer(recorder.clone()),
+                &x,
+            );
+            let after_cold = model_fits(&recorder);
+            assert_eq!(after_cold, specs.len(), "{ctx}");
+            let distills_cold = distills(&recorder);
+            let expected = warm.combined_scores(&q).unwrap();
+
+            // Identical recipe on identical data: every model is carried
+            // over, zero model fits and distillations run, and no score
+            // bit moves.
+            warm.warm_refit(&x, specs.clone()).expect("warm refit");
+            assert_eq!(
+                model_fits(&recorder),
+                after_cold,
+                "{ctx}: a no-op warm refit must not refit any model"
+            );
+            assert_eq!(
+                distills(&recorder),
+                distills_cold,
+                "{ctx}: a no-op warm refit must not distill any model"
+            );
+            assert_eq!(warm.combined_scores(&q).unwrap(), expected, "{ctx}");
+
+            // Change two specs: exactly those two models refit, only the
+            // costly one is distilled, and the result is bitwise-equal to
+            // a cold fit of the modified recipe.
+            warm.warm_refit(&x, modified.clone()).expect("warm refit");
+            assert_eq!(
+                model_fits(&recorder),
+                after_cold + 2,
+                "{ctx}: changing two specs must refit exactly two models"
+            );
+            assert_eq!(
+                distills(&recorder),
+                distills_cold + 1,
+                "{ctx}: only the changed costly model is distilled again"
+            );
+            let cold = fit(
+                config(projection)
+                    .base_estimators(modified.clone())
+                    .n_workers(workers),
+                &x,
+            );
+            assert_eq!(
+                warm.combined_scores(&q).unwrap(),
+                cold.combined_scores(&q).unwrap(),
+                "{ctx}: warm refit must match a cold fit of the new recipe bitwise"
+            );
+            assert_eq!(
+                warm.threshold().unwrap(),
+                cold.threshold().unwrap(),
+                "{ctx}"
+            );
+
+            // New data is refused, never silently retrained.
+            assert!(warm.warm_refit(&q, specs.clone()).is_err(), "{ctx}");
+        }
+    }
+}
+
+#[test]
+fn failed_warm_refit_keeps_the_previous_pool_scoring() {
+    let x = data();
+    let q = queries();
+    let mut clf = fit(Suod::builder().base_estimators(full_pool()).seed(7), &x);
+    let before = clf.combined_scores(&q).unwrap();
+    let labels = clf.predict(&q).unwrap();
+
+    // A 15th spec that cannot be built fails the refit with a typed
+    // error; the previous 14-model pool must keep serving untouched.
+    let mut broken = full_pool();
+    broken.push(ModelSpec::Knn {
+        n_neighbors: 0,
+        method: KnnMethod::Largest,
+    });
+    assert!(clf.warm_refit(&x, broken).is_err());
+    assert_eq!(clf.n_models(), full_pool().len());
+    assert_eq!(clf.combined_scores(&q).unwrap(), before);
+    assert_eq!(clf.predict(&q).unwrap(), labels);
+
+    // The estimator stays warm: a valid refit still works afterwards.
+    clf.warm_refit(&x, full_pool()).expect("warm refit");
+    assert_eq!(clf.combined_scores(&q).unwrap(), before);
 }
