@@ -29,6 +29,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use suod::prelude::*;
+use suod_bench::{git_rev, min_time};
 use suod_linalg::{DistanceBackend, DistanceMetric, KnnIndex, SimdLane};
 use suod_metrics::roc_auc;
 
@@ -38,16 +39,6 @@ const K: usize = 10;
 /// Query rows sampled for recall measurement (exact ground truth for a
 /// sample is affordable even where the full exact sweep is not).
 const RECALL_SAMPLE: usize = 2_000;
-
-fn min_time(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// Inlier blob plus ~0.05% scattered planted outliers; returns labels.
 /// Outliers land in a huge box, and contamination is kept very sparse on
@@ -76,18 +67,6 @@ fn planted_outliers(n: usize, d: usize, seed: u64) -> (Matrix, Vec<i32>) {
         }
     }
     (Matrix::from_vec(n, d, data).expect("shape consistent"), y)
-}
-
-/// Short git revision of the working tree, or `"unknown"` outside a
-/// checkout — provenance for the committed report.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
 }
 
 fn exact_config() -> KernelConfig {

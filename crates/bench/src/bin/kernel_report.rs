@@ -26,8 +26,7 @@
 //! regression gates for the tiled and vectorized kernels).
 
 use std::fmt::Write as _;
-use std::time::Instant;
-use suod_bench::Scale;
+use suod_bench::{git_rev, min_time, Scale};
 use suod_linalg::{
     pairwise_distances_backend, pairwise_distances_with, set_simd_lane_override, DistanceBackend,
     DistanceMetric, KernelConfig, KnnIndex, Matrix, Precision, SimdLane,
@@ -35,16 +34,6 @@ use suod_linalg::{
 };
 
 const REPS: usize = 3;
-
-fn min_time(mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     use rand::rngs::StdRng;
@@ -60,25 +49,13 @@ fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     .expect("shape consistent")
 }
 
-/// Short git revision of the working tree, or `"unknown"` outside a
-/// checkout — provenance for the committed report.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
-
 /// Times `f` with the process-wide lane override forced to `lane`,
 /// restoring automatic detection afterwards. On hosts without AVX2+FMA
 /// an `Avx2` request degrades to scalar (mirroring `SimdLane::detect`),
 /// so the numbers are honest on every machine.
 fn time_with_lane(lane: SimdLane, f: impl FnMut()) -> f64 {
     set_simd_lane_override(Some(lane));
-    let t = min_time(f);
+    let t = min_time(REPS, f);
     set_simd_lane_override(None);
     t
 }
@@ -106,7 +83,7 @@ impl PairwiseCell {
     fn measure(n: usize, d: usize) -> Self {
         let a = random_matrix(n, d, n as u64 ^ d as u64);
         let scalar_only = |backend| {
-            min_time(|| {
+            min_time(REPS, || {
                 let _ =
                     pairwise_distances_backend(&a, &a, DistanceMetric::Euclidean, backend, 1, None)
                         .expect("shapes agree");
@@ -243,7 +220,7 @@ fn main() {
     let knn_time = |config: KernelConfig| {
         let index =
             KnnIndex::build_with(&train, DistanceMetric::Euclidean, config).expect("non-empty");
-        min_time(|| {
+        min_time(REPS, || {
             let _ = index
                 .query_batch_parallel(&queries, knn_k, 1)
                 .expect("shapes agree");
@@ -284,12 +261,12 @@ fn main() {
             brute_config(DistanceBackend::Blocked),
         )
         .expect("non-empty");
-        let tree_s = min_time(|| {
+        let tree_s = min_time(REPS, || {
             let _ = tree
                 .query_batch_parallel(&queries, cx_k, 1)
                 .expect("shapes");
         });
-        let brute_s = min_time(|| {
+        let brute_s = min_time(REPS, || {
             let _ = brute
                 .query_batch_parallel(&queries, cx_k, 1)
                 .expect("shapes");

@@ -7,6 +7,12 @@
 //! `BENCH_parallel.json` in the working directory so the perf trajectory
 //! is tracked across PRs.
 //!
+//! The straggler workload runs only on the work-stealing executor; its
+//! static arm is simulated: [`simulate_makespan`] over the measured task
+//! costs gives the makespan the BPS placement would have had with no
+//! stealing (`static_sim_s`), the same simulator DESIGN.md §4 uses for
+//! the paper's timing tables.
+//!
 //! Every timing is the minimum of [`REPS`] runs (minimum, not mean — the
 //! quantity of interest is achievable speed, not scheduler noise).
 //! Speedups are only meaningful on hosts with enough physical cores; the
@@ -16,24 +22,13 @@
 //! Flags: `--quick` shrinks problem sizes for smoke runs.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 use suod::prelude::*;
-use suod_bench::Scale;
+use suod_bench::{git_rev, min_time, Scale};
 use suod_linalg::{pairwise_distances_parallel, DistanceMetric, KnnIndex, Matrix};
-use suod_scheduler::{bps_schedule, ThreadPoolExecutor, WorkStealingExecutor};
+use suod_scheduler::{bps_schedule, simulate_makespan, WorkStealingExecutor};
 
 const THREADS: &[usize] = &[1, 2, 4, 8];
 const REPS: usize = 3;
-
-fn min_time(mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     use rand::rngs::StdRng;
@@ -63,7 +58,10 @@ fn times_json(times: &[(usize, f64)]) -> String {
 }
 
 fn sweep(label: &str, mut run: impl FnMut(usize)) -> String {
-    let times: Vec<(usize, f64)> = THREADS.iter().map(|&t| (t, min_time(|| run(t)))).collect();
+    let times: Vec<(usize, f64)> = THREADS
+        .iter()
+        .map(|&t| (t, min_time(REPS, || run(t))))
+        .collect();
     let base = times[0].1;
     print!("{label:<28}");
     for (t, secs) in &times {
@@ -136,6 +134,7 @@ fn proximity_pool() -> Vec<ModelSpec> {
 fn main() {
     let scale = Scale::from_args();
     let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let rev = git_rev();
     println!("Parallel kernel + end-to-end report (host cores: {host_cores})");
 
     // --- Kernels. ----------------------------------------------------------
@@ -164,23 +163,22 @@ fn main() {
     let mut wrong_costs = vec![1.0; 16];
     wrong_costs[0] = 2.0;
     let assignment = bps_schedule(&wrong_costs, 4, 1.0).expect("valid");
-    let static_s = min_time(|| {
-        ThreadPoolExecutor::new()
-            .run(straggler_tasks(), &assignment)
-            .expect("runs");
-    });
     let steal_pool = WorkStealingExecutor::new(4).expect("valid");
     let mut steals = 0usize;
-    let stealing_s = min_time(|| {
-        let (_, report) = steal_pool
-            .run_with_report(straggler_tasks(), &assignment)
+    let mut static_sim_s = f64::INFINITY;
+    let stealing_s = min_time(REPS, || {
+        let (outcomes, report) = steal_pool
+            .run(straggler_tasks(), &assignment, suod_observe::noop())
             .expect("runs");
+        assert!(outcomes.iter().all(|o| o.is_ok()), "spin tasks cannot fail");
         steals = report.steals;
+        let sim = simulate_makespan(&report.task_seconds(), &assignment).expect("valid");
+        static_sim_s = static_sim_s.min(sim.makespan);
     });
     println!(
-        "straggler m16/t4             static {static_s:.4}s  stealing {stealing_s:.4}s \
+        "straggler m16/t4             static (sim) {static_sim_s:.4}s  stealing {stealing_s:.4}s \
          ({:.2}x, {steals} steals)",
-        static_s / stealing_s
+        static_sim_s / stealing_s
     );
 
     // --- End-to-end fit/predict. -------------------------------------------
@@ -190,7 +188,7 @@ fn main() {
     let mut predict_times: Vec<(usize, f64)> = Vec::new();
     for &t in THREADS {
         let mut fitted = None;
-        let fit_s = min_time(|| {
+        let fit_s = min_time(REPS, || {
             let mut model = Suod::builder()
                 .base_estimators(pool(m_each))
                 .n_workers(t)
@@ -201,7 +199,7 @@ fn main() {
             fitted = Some(model);
         });
         let model = fitted.expect("fitted above");
-        let predict_s = min_time(|| {
+        let predict_s = min_time(REPS, || {
             let _ = model.decision_function(&x).expect("predict succeeds");
         });
         fit_times.push((t, fit_s));
@@ -228,7 +226,7 @@ fn main() {
     let cache_pool_size = proximity_pool().len();
     let cache_fit = |cache_on: bool, t: usize| -> (f64, u64, u64) {
         let mut counters = (0u64, 0u64);
-        let secs = min_time(|| {
+        let secs = min_time(REPS, || {
             let mut model = Suod::builder()
                 .base_estimators(proximity_pool())
                 .with_projection(false)
@@ -268,10 +266,10 @@ fn main() {
 
     // --- Report. -----------------------------------------------------------
     let json = format!(
-        "{{\n  \"host_cores\": {host_cores},\n  \"scale\": \"{scale:?}\",\n  \"kernels\": {{\n    \
+        "{{\n  \"git_rev\": \"{rev}\",\n  \"host_cores\": {host_cores},\n  \"scale\": \"{scale:?}\",\n  \"kernels\": {{\n    \
          \"pairwise_{pw_n}x{pw_d}\": {pairwise},\n    \"matmul_blocked_{mm}\": {matmul},\n    \
          \"knn_batch_{knn_n}x{knn_q}\": {knn}\n  }},\n  \"executor_straggler_m16_t4\": {{\n    \
-         \"static_s\": {static_s:.6},\n    \"stealing_s\": {stealing_s:.6},\n    \
+         \"static_sim_s\": {static_sim_s:.6},\n    \"stealing_s\": {stealing_s:.6},\n    \
          \"steals\": {steals}\n  }},\n  \"end_to_end_n{n}\": {{\n    \"fit\": {},\n    \
          \"predict\": {}\n  }},\n  \"neighbor_cache_pool_fit_n{cache_n}\": {{\n    \
          \"pool\": {{\"total\": {cache_pool_size}, \"knn\": 8, \"lof\": 8, \"loop\": 8}},\n    \

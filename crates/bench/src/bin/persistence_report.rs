@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 use suod::prelude::*;
-use suod_bench::Scale;
+use suod_bench::{git_rev, Scale};
 use suod_datasets::registry;
 use suod_linalg::SimdLane;
 
@@ -27,16 +27,6 @@ use suod_linalg::SimdLane;
 /// all but one model, so the real ratio is far higher; the gate exists
 /// to catch the warm path silently degrading into a full refit.
 const SMOKE_WARM_SPEEDUP: f64 = 2.0;
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
 
 /// Five proximity detectors sharing one neighbour cache plus a cheap
 /// histogram model — the spec the warm refit will swap out.

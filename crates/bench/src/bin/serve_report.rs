@@ -20,7 +20,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use suod::prelude::*;
-use suod_bench::Scale;
+use suod_bench::{git_rev, Scale};
 use suod_datasets::registry;
 use suod_linalg::SimdLane;
 use suod_serve::{ManualClock, ScoreOutcome, ScoreService, ServeConfig, SubmitError};
@@ -29,16 +29,6 @@ use suod_serve::{ManualClock, ScoreOutcome, ScoreService, ServeConfig, SubmitErr
 /// Generous — the gate exists to catch order-of-magnitude regressions
 /// (a stuck dispatcher, an accidental sleep), not scheduler jitter.
 const SMOKE_P99_MS: u64 = 500;
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
 
 /// Six cheap healthy models; with `chaos` two predict-time saboteurs
 /// (one panicking, one NaN-scoring) are appended at the end so the

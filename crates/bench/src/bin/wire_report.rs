@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 use suod::prelude::*;
-use suod_bench::Scale;
+use suod_bench::{git_rev, Scale};
 use suod_datasets::registry;
 use suod_linalg::SimdLane;
 use suod_serve::{
@@ -40,16 +40,6 @@ const CLIENT_WINDOW: usize = 8;
 /// Rows per request — small, so the sweep measures wire and dispatch
 /// overhead rather than kernel time.
 const ROWS_PER_REQUEST: usize = 8;
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
 
 /// Same six-model heterogeneous pool as `serve_report`, fitted with a
 /// fixed seed and worker count so every cell serves an identical model

@@ -101,6 +101,30 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
+/// Best (minimum) wall time in seconds of `reps` runs of `f` — achievable
+/// speed rather than scheduler noise. Runs at least once.
+pub fn min_time(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        let start = Instant::now();
+        f();
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// Short git revision of the working tree, recorded in every `BENCH_*.json`
+/// for provenance; `"unknown"` outside a git checkout.
+pub fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
+}
+
 /// Formats a fraction as a percentage string with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}", 100.0 * x)
@@ -139,6 +163,27 @@ mod tests {
         let (v, secs) = timed(|| 40 + 2);
         assert_eq!(v, 42);
         assert!(secs >= 0.0);
+    }
+
+    #[test]
+    fn min_time_runs_at_least_once() {
+        let mut runs = 0;
+        let secs = min_time(0, || runs += 1);
+        assert_eq!(runs, 1);
+        assert!(secs.is_finite() && secs >= 0.0);
+    }
+
+    #[test]
+    fn min_time_keeps_the_fastest_rep() {
+        let mut runs = 0;
+        let secs = min_time(3, || {
+            if runs == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+            }
+            runs += 1;
+        });
+        assert_eq!(runs, 3);
+        assert!(secs < 0.03, "the slow first rep was kept: {secs}");
     }
 
     #[test]

@@ -776,8 +776,7 @@ impl Suod {
                 generic_schedule(pending.len(), self.config.n_workers.min(pending.len()))?
             };
             let tasks: Vec<_> = pending.iter().map(|&i| make_task(i, attempt)).collect();
-            let (outcomes, run_report) =
-                executor.run_with_report_isolated_observed(tasks, &assignment, Arc::clone(&obs))?;
+            let (outcomes, run_report) = executor.run(tasks, &assignment, Arc::clone(&obs))?;
             if attempt == 0 {
                 report = run_report;
             } else {
@@ -1256,8 +1255,7 @@ impl Suod {
             }
         }
 
-        let (outcomes, mut execution) =
-            executor.run_with_report_isolated_observed(tasks, &assignment, Arc::clone(observer))?;
+        let (outcomes, mut execution) = executor.run(tasks, &assignment, Arc::clone(observer))?;
 
         // Per-model reassembly: the first failed chunk quarantines the
         // whole column (partial columns would silently shift the

@@ -19,16 +19,14 @@
 //!   a trainable [`cost::ForestCostPredictor`] (random forest over
 //!   meta-features, validated by Spearman rank correlation as in §3.5).
 //! * [`assignment`] — generic / shuffled / BPS schedulers.
-//! * [`executor`] — a real thread-pool executor running one worker thread
-//!   per group.
-//! * [`work_stealing`] — a persistent pool whose per-worker deques are
-//!   seeded from the BPS placement; idle workers steal from the tail of
-//!   the most-loaded peer, and each run emits an
-//!   [`work_stealing::ExecutionReport`] (per-task wall time, per-worker
-//!   busy time, steal count, failure/retry/straggler telemetry). A
-//!   fault-isolated mode (`run_with_report_isolated`) catches each
-//!   task's panic individually as a [`work_stealing::TaskFailure`]
-//!   instead of aborting the batch.
+//! * [`work_stealing`] — the executor: a persistent pool whose
+//!   per-worker deques are seeded from the BPS placement; idle workers
+//!   steal from the tail of the most-loaded peer. Its one entry point,
+//!   [`WorkStealingExecutor::run`], catches each task's panic as a
+//!   [`work_stealing::TaskFailure`] instead of aborting the batch and
+//!   emits an [`work_stealing::ExecutionReport`] (per-task wall time,
+//!   per-worker busy time, steal count, failure/retry/straggler
+//!   telemetry).
 //! * [`simulate`] — a discrete-event executor computing exact worker
 //!   makespans from per-model costs. Used to reproduce the paper's
 //!   multi-worker timing tables on hosts with fewer physical cores (see
@@ -51,7 +49,6 @@
 
 pub mod assignment;
 pub mod cost;
-pub mod executor;
 pub mod meta;
 pub mod simulate;
 pub mod work_stealing;
@@ -61,7 +58,6 @@ pub use cost::{
     predict_batch_forecast, predict_chunk_costs, AnalyticCostModel, CostModel, ForestCostPredictor,
     TaskDescriptor,
 };
-pub use executor::ThreadPoolExecutor;
 pub use meta::DatasetMeta;
 pub use simulate::{simulate_makespan, SimulationResult};
 pub use work_stealing::{ExecutionReport, TaskFailure, WorkStealingExecutor};

@@ -29,26 +29,18 @@
 //!
 //! Heterogeneous detector pools are numerically fragile: one ABOD on
 //! degenerate variance or one non-converging OCSVM must not abort the
-//! other 199 fits. The pool therefore offers two execution modes:
-//!
-//! * [`run_with_report`](WorkStealingExecutor::run_with_report) — the
-//!   fail-fast mode: the first task panic aborts the batch and is
-//!   re-raised on the submitting thread (remaining tasks may be
-//!   abandoned).
-//! * [`run_with_report_isolated`](WorkStealingExecutor::run_with_report_isolated)
-//!   — the fault-isolated mode: every task's panic is caught
-//!   individually and surfaces as a per-task `Err(`[`TaskFailure`]`)`
-//!   while all other tasks run to completion. The report counts
-//!   failures, and the pool stays healthy for subsequent batches either
-//!   way.
+//! other 199 fits. [`run`](WorkStealingExecutor::run) therefore puts a
+//! fault boundary around every task: a panic is caught individually and
+//! surfaces as that task's `Err(`[`TaskFailure`]`)` while all other tasks
+//! run to completion. The report counts failures, and the pool stays
+//! healthy for subsequent batches.
 //!
 //! All internal locks are poison-tolerant (`PoisonError::into_inner`):
 //! tasks execute under `catch_unwind`, so a poisoned mutex can only mean
-//! a *prior* panic already being propagated — it must never cascade into
-//! unrelated batches.
+//! a panic already recorded as a task failure — it must never cascade
+//! into unrelated batches.
 //!
-//! Unlike [`ThreadPoolExecutor`](crate::executor::ThreadPoolExecutor),
-//! the pool threads are **persistent**: one executor can serve many
+//! The pool threads are **persistent**: one executor can serve many
 //! `run` calls (e.g. a fit followed by thousands of predict batches)
 //! without respawning OS threads. Tasks must therefore be `'static`
 //! (move their inputs, e.g. via `Arc`).
@@ -57,8 +49,8 @@ use crate::assignment::Assignment;
 use crate::{Error, Result};
 use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use suod_observe::{Counter, Observer, SpanAttrs, Stage};
@@ -71,7 +63,7 @@ fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A task that panicked under fault-isolated execution.
+/// A task that panicked inside [`WorkStealingExecutor::run`].
 ///
 /// The panic payload is flattened to its string form (the common
 /// `panic!("...")` cases); non-string payloads are described generically.
@@ -102,7 +94,7 @@ impl std::fmt::Display for TaskFailure {
 
 impl std::error::Error for TaskFailure {}
 
-/// Telemetry from one [`WorkStealingExecutor::run_with_report`] call.
+/// Telemetry from one [`WorkStealingExecutor::run`] call.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionReport {
     /// Measured wall time of each task, indexed like the input task list.
@@ -124,8 +116,7 @@ pub struct ExecutionReport {
     pub cache_misses: u64,
     /// Total wall time spent building shared neighbour graphs.
     pub cache_build_time: Duration,
-    /// Tasks that panicked during this batch (fault-isolated runs only;
-    /// fail-fast runs re-raise the first panic instead of counting it).
+    /// Tasks that panicked during this batch.
     pub failures: usize,
     /// Task re-executions performed on top of this batch. Zero for a
     /// plain run; filled in by the orchestrator when it retries failed
@@ -160,7 +151,7 @@ impl ExecutionReport {
 /// What one worker accumulated during a batch.
 struct WorkerLog<T> {
     /// `(task index, outcome, task wall time)` triples, in execution
-    /// order. Failed outcomes only occur under fault-isolated execution.
+    /// order.
     out: Vec<(usize, std::result::Result<T, TaskFailure>, Duration)>,
     busy: Duration,
     steals: usize,
@@ -192,13 +183,6 @@ struct Batch<F, T> {
     remaining: AtomicUsize,
     /// Per-worker result buffers — no shared result table.
     logs: Vec<Mutex<WorkerLog<T>>>,
-    /// First panic payload from a task, propagated to the submitter
-    /// (fail-fast mode only).
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    panicked: AtomicBool,
-    /// Fault-isolated mode: catch each task's panic individually and
-    /// record it as a per-task failure instead of poisoning the batch.
-    isolate: bool,
     /// Instrumentation sink: each task execution is wrapped in an
     /// [`Stage::ExecutorTask`] span; steals and fault-boundary failures
     /// emit [`Counter`] events. The no-op observer makes this free.
@@ -238,9 +222,6 @@ where
     fn execute(&self, worker: usize) {
         let mut log = WorkerLog::default();
         loop {
-            if self.panicked.load(Ordering::Acquire) {
-                break;
-            }
             let Some((index, stolen)) = self.find_work(worker) else {
                 if self.remaining.load(Ordering::Acquire) == 0 {
                     break;
@@ -261,38 +242,19 @@ where
                 SpanAttrs::task(index).on_worker(worker),
             );
             let start = Instant::now();
-            match catch_unwind(AssertUnwindSafe(task)) {
-                Ok(out) => {
-                    let elapsed = start.elapsed();
-                    self.observer.span_end(span);
-                    log.out.push((index, Ok(out), elapsed));
-                    log.busy += elapsed;
-                    self.remaining.fetch_sub(1, Ordering::AcqRel);
-                }
-                Err(payload) if self.isolate => {
-                    // Per-task fault boundary: record the failure and keep
-                    // draining the deques — the rest of the batch is
-                    // unaffected.
-                    let elapsed = start.elapsed();
-                    self.observer.span_end(span);
-                    self.observer.counter(Counter::TaskFailure, 1);
-                    log.out
-                        .push((index, Err(TaskFailure::from_payload(payload)), elapsed));
-                    log.busy += elapsed;
-                    self.remaining.fetch_sub(1, Ordering::AcqRel);
-                }
-                Err(payload) => {
-                    self.observer.span_end(span);
-                    self.observer.counter(Counter::TaskFailure, 1);
-                    let mut slot = lock_ignore_poison(&self.panic);
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                    self.panicked.store(true, Ordering::Release);
-                    self.remaining.fetch_sub(1, Ordering::AcqRel);
-                    break;
-                }
-            }
+            // Per-task fault boundary: a panic is recorded as this task's
+            // failure and the worker keeps draining the deques — the rest
+            // of the batch is unaffected.
+            let outcome = catch_unwind(AssertUnwindSafe(task));
+            let elapsed = start.elapsed();
+            self.observer.span_end(span);
+            let outcome = outcome.map_err(|payload| {
+                self.observer.counter(Counter::TaskFailure, 1);
+                TaskFailure::from_payload(payload)
+            });
+            log.out.push((index, outcome, elapsed));
+            log.busy += elapsed;
+            self.remaining.fetch_sub(1, Ordering::AcqRel);
         }
         *lock_ignore_poison(&self.logs[worker]) = log;
     }
@@ -331,7 +293,10 @@ struct PoolShared {
 /// let assignment = bps_schedule(&costs, 2, 1.0).unwrap();
 /// let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> =
 ///     (0usize..4).map(|i| Box::new(move || i * 10) as _).collect();
-/// let (results, report) = pool.run_with_report(tasks, &assignment).unwrap();
+/// let (results, report) = pool
+///     .run(tasks, &assignment, suod_observe::noop())
+///     .unwrap();
+/// let results: Vec<usize> = results.into_iter().map(Result::unwrap).collect();
 /// assert_eq!(results, vec![0, 10, 20, 30]);
 /// assert_eq!(report.task_times.len(), 4);
 /// ```
@@ -395,12 +360,36 @@ impl WorkStealingExecutor {
         self.n_workers
     }
 
-    /// Shared body of the fail-fast and fault-isolated run paths.
-    fn run_batch<T, F>(
+    /// Runs `tasks`, seeding per-worker deques from `assignment`, and
+    /// returns each task's outcome **in task order** plus the run's
+    /// telemetry.
+    ///
+    /// Worker `w`'s deque is seeded with assignment group `w` in group
+    /// order (groups beyond the pool size wrap around). Idle workers
+    /// steal from the tail of the most-loaded peer, so a mispredicted
+    /// straggler no longer gates the batch.
+    ///
+    /// Every task runs behind its own fault boundary: a panic is caught
+    /// and returned as `Err(`[`TaskFailure`]`)` in that task's slot while
+    /// every other task still runs to completion. `report.failures`
+    /// counts the failed tasks; `report.task_times` for a failed task
+    /// measures the time until its panic unwound. The pool stays healthy
+    /// regardless of how many tasks fail.
+    ///
+    /// `observer` receives one [`Stage::ExecutorTask`] span per task
+    /// (task index + worker attribution), a [`Counter::Steal`] per
+    /// successful steal and a [`Counter::TaskFailure`] per caught panic;
+    /// pass [`suod_observe::noop()`] when no trace is wanted.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::BadAssignment`] when the assignment does not
+    /// cover exactly `tasks.len()` tasks. Task panics are **not** errors
+    /// at this level — they surface in the per-task results.
+    pub fn run<T, F>(
         &self,
         tasks: Vec<F>,
         assignment: &Assignment,
-        isolate: bool,
         observer: Arc<dyn Observer>,
     ) -> Result<(Vec<std::result::Result<T, TaskFailure>>, ExecutionReport)>
     where
@@ -441,16 +430,12 @@ impl WorkStealingExecutor {
             logs: (0..self.n_workers)
                 .map(|_| Mutex::new(WorkerLog::default()))
                 .collect(),
-            panic: Mutex::new(None),
-            panicked: AtomicBool::new(false),
-            isolate,
             observer,
         });
 
         let start = Instant::now();
         // Poisoning is recoverable here: the guard only serializes
-        // submissions, and a previous batch's task panic (re-raised below
-        // while this lock was held) must not brick the pool.
+        // submissions and guards no data.
         let _guard = lock_ignore_poison(&self.submit);
         {
             let mut state = lock_ignore_poison(&self.shared.state);
@@ -471,10 +456,6 @@ impl WorkStealingExecutor {
             state.batch = None;
         }
         let wall_time = start.elapsed();
-
-        if let Some(payload) = lock_ignore_poison(&batch.panic).take() {
-            resume_unwind(payload);
-        }
 
         let mut slots: Vec<Option<std::result::Result<T, TaskFailure>>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
@@ -503,174 +484,6 @@ impl WorkStealingExecutor {
             .map(|s| s.expect("every task produced an outcome"))
             .collect();
         Ok((results, report))
-    }
-
-    /// Runs `tasks`, seeding per-worker deques from `assignment`, and
-    /// returns results **in task order** plus the run's telemetry.
-    ///
-    /// Worker `w`'s deque is seeded with assignment group `w` in group
-    /// order (groups beyond the pool size wrap around). Idle workers
-    /// steal from the tail of the most-loaded peer, so a mispredicted
-    /// straggler no longer gates the batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::BadAssignment`] when the assignment does not
-    /// cover exactly `tasks.len()` tasks.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panicking task's payload (remaining tasks may
-    /// be abandoned; the pool itself stays usable). Use
-    /// [`run_with_report_isolated`](Self::run_with_report_isolated) to
-    /// contain panics per task instead.
-    pub fn run_with_report<T, F>(
-        &self,
-        tasks: Vec<F>,
-        assignment: &Assignment,
-    ) -> Result<(Vec<T>, ExecutionReport)>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.run_with_report_observed(tasks, assignment, suod_observe::noop())
-    }
-
-    /// Like [`run_with_report`](Self::run_with_report) with an explicit
-    /// instrumentation sink: each task execution becomes a
-    /// [`Stage::ExecutorTask`] span (task index + worker attribution) and
-    /// successful steals emit [`Counter::Steal`]. Passing the no-op
-    /// observer is equivalent to `run_with_report`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_with_report`](Self::run_with_report).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`run_with_report`](Self::run_with_report).
-    pub fn run_with_report_observed<T, F>(
-        &self,
-        tasks: Vec<F>,
-        assignment: &Assignment,
-        observer: Arc<dyn Observer>,
-    ) -> Result<(Vec<T>, ExecutionReport)>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let (outcomes, report) = self.run_batch(tasks, assignment, false, observer)?;
-        let results = outcomes
-            .into_iter()
-            .map(|o| o.expect("fail-fast mode re-raises panics before collecting"))
-            .collect();
-        Ok((results, report))
-    }
-
-    /// Like [`run_with_report`](Self::run_with_report) but with a
-    /// **per-task fault boundary**: each task's panic is caught
-    /// individually and returned as `Err(`[`TaskFailure`]`)` in that
-    /// task's slot while every other task still runs to completion.
-    ///
-    /// `report.failures` counts the failed tasks; `report.task_times` for
-    /// a failed task measures the time until its panic unwound. The pool
-    /// stays healthy regardless of how many tasks fail.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::BadAssignment`] when the assignment does not
-    /// cover exactly `tasks.len()` tasks. Task panics are **not** errors
-    /// at this level — they surface in the per-task results.
-    pub fn run_with_report_isolated<T, F>(
-        &self,
-        tasks: Vec<F>,
-        assignment: &Assignment,
-    ) -> Result<(Vec<std::result::Result<T, TaskFailure>>, ExecutionReport)>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.run_batch(tasks, assignment, true, suod_observe::noop())
-    }
-
-    /// Like [`run_with_report_isolated`](Self::run_with_report_isolated)
-    /// with an explicit instrumentation sink: task executions become
-    /// [`Stage::ExecutorTask`] spans, steals emit [`Counter::Steal`], and
-    /// tasks caught at the fault boundary emit [`Counter::TaskFailure`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_with_report_isolated`](Self::run_with_report_isolated).
-    pub fn run_with_report_isolated_observed<T, F>(
-        &self,
-        tasks: Vec<F>,
-        assignment: &Assignment,
-        observer: Arc<dyn Observer>,
-    ) -> Result<(Vec<std::result::Result<T, TaskFailure>>, ExecutionReport)>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.run_batch(tasks, assignment, true, observer)
-    }
-
-    /// Like [`run_with_report_isolated`](Self::run_with_report_isolated),
-    /// discarding the telemetry.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_with_report_isolated`](Self::run_with_report_isolated).
-    pub fn run_isolated<T, F>(
-        &self,
-        tasks: Vec<F>,
-        assignment: &Assignment,
-    ) -> Result<Vec<std::result::Result<T, TaskFailure>>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.run_with_report_isolated(tasks, assignment)
-            .map(|(r, _)| r)
-    }
-
-    /// Like [`run_with_report`](Self::run_with_report), discarding the
-    /// telemetry. Drop-in replacement for
-    /// [`ThreadPoolExecutor::run`](crate::executor::ThreadPoolExecutor::run)
-    /// for `'static` tasks.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_with_report`](Self::run_with_report).
-    pub fn run<T, F>(&self, tasks: Vec<F>, assignment: &Assignment) -> Result<Vec<T>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.run_with_report(tasks, assignment).map(|(r, _)| r)
-    }
-
-    /// Like [`run`](Self::run) with an explicit instrumentation sink,
-    /// discarding the telemetry report.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_observed<T, F>(
-        &self,
-        tasks: Vec<F>,
-        assignment: &Assignment,
-        observer: Arc<dyn Observer>,
-    ) -> Result<Vec<T>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.run_with_report_observed(tasks, assignment, observer)
-            .map(|(r, _)| r)
     }
 }
 
@@ -726,11 +539,32 @@ mod tests {
         (0..n).map(|i| Box::new(move || i * i) as _).collect()
     }
 
+    /// [`WorkStealingExecutor::run`] without an observer, for batches
+    /// whose tasks all succeed.
+    fn run_ok<T, F>(
+        pool: &WorkStealingExecutor,
+        tasks: Vec<F>,
+        assignment: &Assignment,
+    ) -> (Vec<T>, ExecutionReport)
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let (outcomes, report) = pool
+            .run(tasks, assignment, suod_observe::noop())
+            .expect("assignment matches the tasks");
+        let results = outcomes
+            .into_iter()
+            .map(|o| o.expect("task succeeds"))
+            .collect();
+        (results, report)
+    }
+
     #[test]
     fn results_in_task_order() {
         let pool = WorkStealingExecutor::new(3).unwrap();
         let a = generic_schedule(10, 3).unwrap();
-        let out = pool.run(boxed_tasks(10), &a).unwrap();
+        let (out, _) = run_ok(&pool, boxed_tasks(10), &a);
         assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -741,7 +575,7 @@ mod tests {
             let a = generic_schedule(6, 2).unwrap();
             let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> =
                 (0..6).map(|i| Box::new(move || i + round) as _).collect();
-            let out = pool.run(tasks, &a).unwrap();
+            let (out, _) = run_ok(&pool, tasks, &a);
             assert_eq!(out, (0..6).map(|i| i + round).collect::<Vec<_>>());
         }
     }
@@ -758,7 +592,7 @@ mod tests {
             })
             .collect();
         let a = generic_schedule(25, 4).unwrap();
-        pool.run(tasks, &a).unwrap();
+        run_ok(&pool, tasks, &a);
         assert_eq!(COUNTER.load(Ordering::SeqCst), 25);
     }
 
@@ -766,7 +600,7 @@ mod tests {
     fn report_accounts_every_task_and_worker() {
         let pool = WorkStealingExecutor::new(3).unwrap();
         let a = generic_schedule(9, 3).unwrap();
-        let (_, report) = pool.run_with_report(boxed_tasks(9), &a).unwrap();
+        let (_, report) = run_ok(&pool, boxed_tasks(9), &a);
         assert_eq!(report.task_times.len(), 9);
         assert_eq!(report.worker_busy.len(), 3);
         assert_eq!(report.worker_tasks.iter().sum::<usize>(), 9);
@@ -805,7 +639,7 @@ mod tests {
             .collect();
 
         let pool = WorkStealingExecutor::new(2).unwrap();
-        let (out, report) = pool.run_with_report(tasks, &assignment).unwrap();
+        let (out, report) = run_ok(&pool, tasks, &assignment);
         assert_eq!(out, (0..n).collect::<Vec<_>>(), "results in task order");
         assert_eq!(RUNS.load(Ordering::SeqCst), n, "every task exactly once");
         assert!(
@@ -813,29 +647,6 @@ mod tests {
             "idle worker should have stolen from the straggler's deque: {report:?}"
         );
         assert_eq!(report.task_times.iter().filter(|t| t.is_zero()).count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "task exploded")]
-    fn task_panic_propagates_and_pool_survives() {
-        let pool = WorkStealingExecutor::new(2).unwrap();
-        let a = generic_schedule(2, 2).unwrap();
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            vec![Box::new(|| 1), Box::new(|| panic!("task exploded"))];
-        let _ = pool.run(tasks, &a);
-    }
-
-    #[test]
-    fn pool_usable_after_task_panic() {
-        let pool = WorkStealingExecutor::new(2).unwrap();
-        let a = generic_schedule(2, 2).unwrap();
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            vec![Box::new(|| 1), Box::new(|| panic!("first batch dies"))];
-        assert!(catch_unwind(AssertUnwindSafe(|| pool.run(tasks, &a))).is_err());
-        // The pool must still execute subsequent batches.
-        let a = generic_schedule(4, 2).unwrap();
-        let out = pool.run(boxed_tasks(4), &a).unwrap();
-        assert_eq!(out, vec![0, 1, 4, 9]);
     }
 
     #[test]
@@ -849,7 +660,7 @@ mod tests {
             Box::new(|| panic!("boom two")),
             Box::new(|| 50),
         ];
-        let (out, report) = pool.run_with_report_isolated(tasks, &a).unwrap();
+        let (out, report) = pool.run(tasks, &a, suod_observe::noop()).unwrap();
         assert_eq!(out.len(), 5);
         assert_eq!(*out[0].as_ref().unwrap(), 10);
         assert_eq!(*out[2].as_ref().unwrap(), 30);
@@ -867,12 +678,12 @@ mod tests {
         let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..4)
             .map(|i| Box::new(move || -> usize { panic!("task {i} exploded") }) as _)
             .collect();
-        let (out, report) = pool.run_with_report_isolated(tasks, &a).unwrap();
+        let (out, report) = pool.run(tasks, &a, suod_observe::noop()).unwrap();
         assert!(out.iter().all(|o| o.is_err()));
         assert_eq!(report.failures, 4);
-        // The pool must still execute subsequent fail-fast batches.
+        // The pool must still execute subsequent batches.
         let a = generic_schedule(4, 2).unwrap();
-        let out = pool.run(boxed_tasks(4), &a).unwrap();
+        let (out, _) = run_ok(&pool, boxed_tasks(4), &a);
         assert_eq!(out, vec![0, 1, 4, 9]);
     }
 
@@ -882,7 +693,7 @@ mod tests {
         let a = generic_schedule(1, 1).unwrap();
         let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> =
             vec![Box::new(|| panic!("formatted {}", 42))];
-        let out = pool.run_isolated(tasks, &a).unwrap();
+        let (out, _) = pool.run(tasks, &a, suod_observe::noop()).unwrap();
         let failure = out[0].as_ref().unwrap_err();
         assert_eq!(failure.message, "formatted 42");
         assert!(failure.to_string().contains("task panicked"));
@@ -892,8 +703,7 @@ mod tests {
     fn mismatched_assignment_rejected() {
         let pool = WorkStealingExecutor::new(2).unwrap();
         let a = generic_schedule(3, 1).unwrap();
-        assert!(pool.run(boxed_tasks(2), &a).is_err());
-        assert!(pool.run_isolated(boxed_tasks(2), &a).is_err());
+        assert!(pool.run(boxed_tasks(2), &a, suod_observe::noop()).is_err());
     }
 
     #[test]
@@ -905,7 +715,7 @@ mod tests {
     fn more_groups_than_workers_wraps() {
         let pool = WorkStealingExecutor::new(2).unwrap();
         let a = generic_schedule(8, 4).unwrap();
-        let out = pool.run(boxed_tasks(8), &a).unwrap();
+        let (out, _) = run_ok(&pool, boxed_tasks(8), &a);
         assert_eq!(out, (0..8).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -915,9 +725,8 @@ mod tests {
         let pool = WorkStealingExecutor::new(3).unwrap();
         let a = generic_schedule(9, 3).unwrap();
         let rec = Arc::new(RecordingObserver::new());
-        let (out, report) = pool
-            .run_with_report_observed(boxed_tasks(9), &a, rec.clone())
-            .unwrap();
+        let (out, report) = pool.run(boxed_tasks(9), &a, rec.clone()).unwrap();
+        let out: Vec<usize> = out.into_iter().map(|o| o.unwrap()).collect();
         assert_eq!(out, (0..9).map(|i| i * i).collect::<Vec<_>>());
         let trace = rec.trace();
         let spans: Vec<_> = trace.spans_of(Stage::ExecutorTask).collect();
@@ -942,9 +751,7 @@ mod tests {
             Box::new(|| 3),
             Box::new(|| panic!("bang")),
         ];
-        let (out, report) = pool
-            .run_with_report_isolated_observed(tasks, &a, rec.clone())
-            .unwrap();
+        let (out, report) = pool.run(tasks, &a, rec.clone()).unwrap();
         assert_eq!(out.iter().filter(|o| o.is_err()).count(), 2);
         let trace = rec.trace();
         assert_eq!(trace.counter(Counter::TaskFailure), report.failures as u64);
@@ -957,9 +764,88 @@ mod tests {
     fn single_worker_runs_everything_without_steals() {
         let pool = WorkStealingExecutor::new(1).unwrap();
         let a = generic_schedule(5, 1).unwrap();
-        let (out, report) = pool.run_with_report(boxed_tasks(5), &a).unwrap();
+        let (out, report) = run_ok(&pool, boxed_tasks(5), &a);
         assert_eq!(out, vec![0, 1, 4, 9, 16]);
         assert_eq!(report.steals, 0);
         assert_eq!(report.worker_tasks, vec![5]);
+    }
+
+    #[test]
+    fn empty_batch_returns_an_empty_report() {
+        let pool = WorkStealingExecutor::new(3).unwrap();
+        let a = Assignment::new(Vec::new()).unwrap();
+        let (out, report) = pool.run(boxed_tasks(0), &a, suod_observe::noop()).unwrap();
+        assert!(out.is_empty());
+        assert!(report.task_times.is_empty());
+        assert_eq!(report.worker_busy, vec![Duration::ZERO; 3]);
+        assert_eq!(report.worker_tasks, vec![0; 3]);
+        assert_eq!((report.steals, report.failures), (0, 0));
+        // The pool still runs a real batch afterwards.
+        let a = generic_schedule(3, 3).unwrap();
+        assert_eq!(run_ok(&pool, boxed_tasks(3), &a).0, vec![0, 1, 4]);
+    }
+
+    #[test]
+    fn non_string_panic_payload_is_described_generically() {
+        let pool = WorkStealingExecutor::new(1).unwrap();
+        let a = generic_schedule(2, 1).unwrap();
+        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![
+            Box::new(|| std::panic::panic_any(7u32)),
+            Box::new(|| std::panic::panic_any(String::from("owned message"))),
+        ];
+        let (out, report) = pool.run(tasks, &a, suod_observe::noop()).unwrap();
+        assert_eq!(
+            out[0].as_ref().unwrap_err().message,
+            "task panicked with a non-string payload"
+        );
+        assert_eq!(out[1].as_ref().unwrap_err().message, "owned message");
+        assert_eq!(report.failures, 2);
+    }
+
+    #[test]
+    fn failed_task_time_covers_the_work_before_the_panic() {
+        let pool = WorkStealingExecutor::new(2).unwrap();
+        let a = generic_schedule(2, 2).unwrap();
+        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![
+            Box::new(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                panic!("late failure")
+            }),
+            Box::new(|| 1),
+        ];
+        let (out, report) = pool.run(tasks, &a, suod_observe::noop()).unwrap();
+        assert!(out[0].is_err());
+        assert_eq!(*out[1].as_ref().unwrap(), 1);
+        assert!(
+            report.task_times[0] >= Duration::from_millis(20),
+            "failed task time {:?} misses the work before its panic",
+            report.task_times[0]
+        );
+        assert!(report.worker_busy.iter().sum::<Duration>() >= report.task_times[0]);
+    }
+
+    #[test]
+    fn results_do_not_depend_on_worker_count() {
+        let costs: Vec<f64> = (0..12).map(|i| 1.0 + (i % 5) as f64).collect();
+        let expected: Vec<usize> = (0..12).map(|i| i * i).collect();
+        for workers in [1, 2, 4] {
+            let pool = WorkStealingExecutor::new(workers).unwrap();
+            let a = bps_schedule(&costs, workers, 1.0).unwrap();
+            let (out, report) = run_ok(&pool, boxed_tasks(12), &a);
+            assert_eq!(out, expected, "results at {workers} workers");
+            assert_eq!(report.worker_tasks.len(), workers);
+            assert_eq!(report.worker_tasks.iter().sum::<usize>(), 12);
+        }
+    }
+
+    #[test]
+    fn utilization_without_wall_time_is_full() {
+        assert_eq!(ExecutionReport::default().utilization(), 1.0);
+        let report = ExecutionReport {
+            worker_busy: vec![Duration::from_millis(10), Duration::ZERO],
+            wall_time: Duration::from_millis(10),
+            ..ExecutionReport::default()
+        };
+        assert!((report.utilization() - 0.5).abs() < 1e-12);
     }
 }

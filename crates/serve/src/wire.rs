@@ -376,6 +376,9 @@ fn write_frame<W: Write>(w: &mut W, frame_type: u8, id: u64, body: &[u8]) -> io:
     w.write_all(&frame)
 }
 
+/// Body buffer capacity reserved before any body byte has been read.
+const BODY_INITIAL_CAPACITY: usize = 64 * 1024;
+
 /// Reads one frame header + body. `Ok(None)` is a clean EOF *before any
 /// header byte* — the peer closed its keep-alive connection between
 /// requests. EOF mid-frame is [`WireError::Malformed`].
@@ -415,11 +418,15 @@ fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, u64, Vec<u8>)>, WireErro
             "body length {body_len} exceeds the {MAX_FRAME_BODY}-byte cap"
         )));
     }
-    let mut body = vec![0u8; body_len as usize];
-    r.read_exact(&mut body).map_err(|e| match e.kind() {
-        io::ErrorKind::UnexpectedEof => WireError::Malformed("eof inside frame body".to_string()),
-        _ => WireError::Io(e),
-    })?;
+    // The body grows as bytes arrive: a header alone must not make the
+    // reader reserve the declared length (up to the 1 GiB cap).
+    let mut body = Vec::with_capacity((body_len as usize).min(BODY_INITIAL_CAPACITY));
+    r.take(u64::from(body_len))
+        .read_to_end(&mut body)
+        .map_err(WireError::Io)?;
+    if body.len() < body_len as usize {
+        return Err(WireError::Malformed("eof inside frame body".to_string()));
+    }
     Ok(Some((frame_type, id, body)))
 }
 
@@ -606,6 +613,84 @@ pub fn read_response<R: Read>(r: &mut R) -> Result<Option<WireResponse>, WireErr
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serves a fixed byte string, then EOF, recording the largest
+    /// buffer any `read` call is handed.
+    struct RecordingReader {
+        bytes: Vec<u8>,
+        pos: usize,
+        largest_buf: usize,
+    }
+
+    impl Read for RecordingReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_buf = self.largest_buf.max(buf.len());
+            let n = buf.len().min(self.bytes.len() - self.pos);
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn header_alone_does_not_reserve_the_declared_body() {
+        let mut header = WIRE_MAGIC.to_vec();
+        header.extend([WIRE_VERSION, FRAME_REQUEST]);
+        header.extend(7u64.to_le_bytes());
+        header.extend(MAX_FRAME_BODY.to_le_bytes());
+        let mut reader = RecordingReader {
+            bytes: header,
+            pos: 0,
+            largest_buf: 0,
+        };
+        match read_frame(&mut reader) {
+            Err(WireError::Malformed(msg)) => assert_eq!(msg, "eof inside frame body"),
+            other => panic!("expected a malformed short body, got {other:?}"),
+        }
+        assert!(
+            reader.largest_buf < 1 << 20,
+            "reader was handed a {}-byte buffer before any body byte arrived",
+            reader.largest_buf
+        );
+    }
+
+    /// Hands out at most `chunk` bytes per `read`, like a slow socket.
+    struct TrickleReader<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for TrickleReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.chunk).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn body_past_the_initial_capacity_arrives_whole_in_small_reads() {
+        // 128 x 96 f64s is a ~96 KiB body, past the 64 KiB starting buffer.
+        let request = WireRequest {
+            id: 11,
+            lane: Lane::High,
+            deadline_ms: Some(5),
+            rows: rows(128, 96),
+        };
+        let mut buf = Vec::new();
+        write_request(&mut buf, &request).unwrap();
+        assert!(buf.len() > BODY_INITIAL_CAPACITY);
+        let mut reader = TrickleReader {
+            bytes: &buf,
+            chunk: 1000,
+        };
+        let back = read_request(&mut reader).unwrap().unwrap();
+        assert_eq!(back.id, 11);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back.rows), bits(&request.rows));
+        assert!(read_request(&mut reader).unwrap().is_none());
+    }
 
     fn rows(n: usize, d: usize) -> Matrix {
         let data: Vec<f64> = (0..n * d)

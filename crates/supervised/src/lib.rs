@@ -63,6 +63,9 @@ pub enum Error {
     InvalidParameter(String),
     /// Training data was empty.
     EmptyInput(&'static str),
+    /// Training features or targets contained NaN or infinite values.
+    /// The payload names which of the two was rejected.
+    NonFiniteInput(&'static str),
     /// Propagated linear-algebra failure.
     Linalg(suod_linalg::Error),
 }
@@ -77,6 +80,9 @@ impl fmt::Display for Error {
             Error::NotFitted(model) => write!(f, "{model} must be fitted before prediction"),
             Error::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             Error::EmptyInput(what) => write!(f, "{what} received empty training data"),
+            Error::NonFiniteInput(what) => {
+                write!(f, "Regressor::fit received non-finite (NaN/inf) {what}")
+            }
             Error::Linalg(e) => write!(f, "linear algebra error: {e}"),
         }
     }
@@ -110,7 +116,9 @@ pub trait Regressor: Send + Sync {
     /// # Errors
     ///
     /// Implementations return [`Error::ShapeMismatch`] when `x.nrows() !=
-    /// y.len()` and [`Error::EmptyInput`] when `x` has no rows.
+    /// y.len()`, [`Error::EmptyInput`] when `x` has no rows, and
+    /// [`Error::NonFiniteInput`] when `x` or `y` holds a NaN or infinite
+    /// value.
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()>;
 
     /// Predicts targets for each row of `x`.
@@ -207,6 +215,12 @@ pub(crate) fn check_fit_inputs(x: &Matrix, y: &[f64]) -> Result<()> {
             rows: x.nrows(),
             targets: y.len(),
         });
+    }
+    if !x.as_slice().iter().all(|v| v.is_finite()) {
+        return Err(Error::NonFiniteInput("features"));
+    }
+    if !y.iter().all(|v| v.is_finite()) {
+        return Err(Error::NonFiniteInput("targets"));
     }
     Ok(())
 }

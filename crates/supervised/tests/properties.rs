@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use suod_linalg::Matrix;
 use suod_supervised::{
-    DecisionTreeRegressor, KnnRegressor, RandomForestRegressor, Regressor, Ridge, TreeParams,
+    DecisionTreeRegressor, Error, KnnRegressor, RandomForestRegressor, Regressor, Ridge, TreeParams,
 };
 
 fn regression_problem() -> impl Strategy<Value = (Matrix, Vec<f64>)> {
@@ -102,6 +102,35 @@ proptest! {
             for p in reg.predict(&x).unwrap() {
                 prop_assert!((p - c).abs() < 1e-6, "{}: {p} vs {c}", reg.name());
             }
+        }
+    }
+}
+
+/// A single NaN or infinity in the features or the targets is a typed
+/// error from every regressor — never a panic in the split search or the
+/// linear solve, and never a silently fitted model.
+#[test]
+fn non_finite_training_data_is_rejected() {
+    let x = Matrix::from_vec(6, 2, (0..12).map(f64::from).collect()).expect("sized");
+    let y: Vec<f64> = (0..6).map(f64::from).collect();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut bad_x = x.clone();
+        bad_x.set(3, 1, bad);
+        let mut bad_y = y.clone();
+        bad_y[4] = bad;
+        for mut reg in all_regressors(0) {
+            assert_eq!(
+                reg.fit(&bad_x, &y),
+                Err(Error::NonFiniteInput("features")),
+                "{} with {bad} in x",
+                reg.name()
+            );
+            assert_eq!(
+                reg.fit(&x, &bad_y),
+                Err(Error::NonFiniteInput("targets")),
+                "{} with {bad} in y",
+                reg.name()
+            );
         }
     }
 }
