@@ -113,27 +113,6 @@ impl Default for ServeArgs {
     }
 }
 
-/// Wire protocol the `score --connect` client speaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireFormat {
-    /// The `suod-wire/1` binary framing (keep-alive, exact f64 bits).
-    #[default]
-    Binary,
-    /// The line-oriented CSV protocol — debug path; one request per
-    /// connection, scores formatted/parsed as text.
-    Text,
-}
-
-impl WireFormat {
-    fn parse(raw: &str) -> Result<Self, String> {
-        match raw {
-            "binary" => Ok(WireFormat::Binary),
-            "text" => Ok(WireFormat::Text),
-            other => Err(format!("unknown wire format `{other}` (binary|text)")),
-        }
-    }
-}
-
 /// Arguments for [`Command::Score`]: either the client side of
 /// `serve --listen` (`--connect`) or offline scoring against a local
 /// snapshot (`--snapshot`).
@@ -156,8 +135,6 @@ pub struct ScoreArgs {
     pub label_column: Option<usize>,
     /// Optional output CSV path for the returned scores.
     pub output: Option<String>,
-    /// Protocol for `--connect` (binary keep-alive vs debug text).
-    pub wire: WireFormat,
 }
 
 /// Export format for [`Command::Trace`].
@@ -393,7 +370,6 @@ fn parse_score_flags(
         seed: 42,
         label_column: None,
         output: None,
-        wire: WireFormat::default(),
     };
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> Result<String, String> {
@@ -403,7 +379,6 @@ fn parse_score_flags(
         };
         match flag.as_str() {
             "--connect" => s.connect = Some(value("--connect")?),
-            "--wire" => s.wire = WireFormat::parse(&value("--wire")?)?,
             "--snapshot" => s.snapshot = Some(value("--snapshot")?),
             "--csv" => s.csv = Some(value("--csv")?),
             "--dataset" => s.dataset = Some(value("--dataset")?),
@@ -566,13 +541,11 @@ SERVE OPTIONS (plus the shared detect flags above):
   --lane-headroom <f>   listen: queue fraction open to the normal
                         lane; the rest is high-lane slack        [1.0]
 
-The listener speaks suod-wire/1 (binary, keep-alive, exact f64 bits)
-and falls back to the line-oriented text protocol per connection.
+The listener speaks suod-wire/1 only (binary, keep-alive, exact f64
+bits); bytes that are not a frame get one error frame and a close.
 
 SCORE OPTIONS:
   --connect <addr>      server address (serve --listen)
-  --wire <binary|text>  protocol for --connect                  [binary]
-                        text = debug path, one-shot CSV lines
   --snapshot <path>     score locally with this saved pool
   --csv <path>          feature rows to score
   --dataset <name>      registry rows to score (--snapshot mode)

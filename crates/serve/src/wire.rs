@@ -167,7 +167,7 @@ pub struct WireRequest {
 /// One framed response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireResponse {
-    /// Scores plus the batch-health summary the text protocol never had.
+    /// Scores plus the batch-health summary.
     Ok {
         /// Echoed request id.
         id: u64,

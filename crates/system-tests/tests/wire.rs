@@ -487,8 +487,9 @@ fn idle_client_is_closed_without_stalling_others() {
     assert_eq!(front.responses_ok, 3);
 }
 
-/// A malformed binary frame is answered with an in-band error frame and
-/// a close — and the next connection is served normally.
+/// A malformed binary frame — or bytes that are not a frame at all, such
+/// as a CSV request — is answered with an in-band error frame and a
+/// close, and the next connection is served normally.
 #[test]
 fn malformed_frame_is_answered_in_band_and_never_kills_the_server() {
     let mut service = ScoreService::new(fit(41, 1), ServeConfig::default()).unwrap();
@@ -502,7 +503,7 @@ fn malformed_frame_is_answered_in_band_and_never_kills_the_server() {
         std::thread::spawn(move || {
             let front = FrontConfig {
                 worker_threads: 1,
-                max_conns: 2,
+                max_conns: 4,
                 ..FrontConfig::default()
             };
             serve_front(&listener, &service, &front, &suod::observe::noop()).unwrap()
@@ -536,9 +537,31 @@ fn malformed_frame_is_answered_in_band_and_never_kills_the_server() {
     }
     drop(client);
 
+    // A CSV request (more than one 18-byte frame header of text, then a
+    // blank line) fails the magic check like any other non-frame bytes.
+    let mut csv = TcpStream::connect(&addr).unwrap();
+    csv.write_all(b"1.0,2.0,3.0,4.0,5.0\n\n").unwrap();
+    csv.flush().unwrap();
+    let mut reader = std::io::BufReader::new(csv.try_clone().unwrap());
+    match read_response(&mut reader).unwrap().unwrap() {
+        WireResponse::Error { id, message } => {
+            assert_eq!(id, 0, "framing faults cannot trust any request id");
+            assert!(message.contains("magic"), "{message}");
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+
+    // And the worker survives that too.
+    let mut client = WireClient::connect(&addr).unwrap();
+    match client.score(&query, Lane::Normal, None).unwrap() {
+        WireResponse::Ok { scores, .. } => assert_eq!(bits(&scores), offline),
+        other => panic!("unexpected {other:?}"),
+    }
+    drop(client);
+
     let front = server.join().unwrap();
-    assert_eq!(front.responses_error, 1);
-    assert_eq!(front.responses_ok, 1);
+    assert_eq!(front.responses_error, 2);
+    assert_eq!(front.responses_ok, 2);
 }
 
 /// The binary protocol is bit-transparent end to end across worker
