@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use suod_linalg::{DistanceMetric, KnnIndex, Matrix};
+use suod_linalg::{DistanceMetric, KernelConfig, KnnIndex, Matrix};
 
 fn random_points(n: usize, d: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -23,7 +23,9 @@ fn bench_backends(c: &mut Criterion) {
     for d in [3usize, 8, 15] {
         let pts = random_points(4000, d, 7);
         let queries = random_points(50, d, 8);
-        let brute = KnnIndex::build_brute_force(&pts, DistanceMetric::Euclidean).expect("rows");
+        let brute_force = KernelConfig::default().with_kdtree_crossover_dim(0);
+        let brute =
+            KnnIndex::build_with(&pts, DistanceMetric::Euclidean, brute_force, 1).expect("rows");
         let tree = KnnIndex::build(&pts, DistanceMetric::Euclidean).expect("rows");
         assert!(tree.uses_kdtree());
         group.bench_with_input(BenchmarkId::new("brute", d), &d, |b, _| {

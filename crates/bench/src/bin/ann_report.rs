@@ -29,7 +29,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use suod::prelude::*;
-use suod_bench::{git_rev, min_time};
+use suod_bench::{git_rev, host_cores, min_time};
 use suod_linalg::{DistanceBackend, DistanceMetric, KnnIndex, SimdLane};
 use suod_metrics::roc_auc;
 
@@ -112,9 +112,8 @@ impl IndexCell {
         let mut hnsw: Option<KnnIndex> = None;
         for _ in 0..reps {
             let start = Instant::now();
-            let index =
-                KnnIndex::build_with_threads(x, DistanceMetric::Euclidean, hnsw_config(), 1)
-                    .expect("non-empty");
+            let index = KnnIndex::build_with(x, DistanceMetric::Euclidean, hnsw_config(), 1)
+                .expect("non-empty");
             hnsw_build_s = hnsw_build_s.min(start.elapsed().as_secs_f64());
             hnsw = Some(index);
         }
@@ -129,8 +128,8 @@ impl IndexCell {
         // affordable (sample x n scan), even when the full sweep is not:
         // it is what makes the 500k recall number real rather than
         // extrapolated.
-        let exact =
-            KnnIndex::build_with(x, DistanceMetric::Euclidean, exact_config()).expect("non-empty");
+        let exact = KnnIndex::build_with(x, DistanceMetric::Euclidean, exact_config(), 1)
+            .expect("non-empty");
         let stride = (n / RECALL_SAMPLE).max(1);
         let sampled: Vec<usize> = (0..n).step_by(stride).take(RECALL_SAMPLE).collect();
         let mut hits = 0usize;
@@ -148,7 +147,7 @@ impl IndexCell {
 
         let (exact_build_s, exact_query_s, exact_extrapolated) = if measure_exact {
             let exact_build_s = min_time(reps, || {
-                let _ = KnnIndex::build_with(x, DistanceMetric::Euclidean, exact_config())
+                let _ = KnnIndex::build_with(x, DistanceMetric::Euclidean, exact_config(), 1)
                     .expect("non-empty");
             });
             let exact_query_s = min_time(reps, || {
@@ -250,7 +249,7 @@ fn pool_fit(backend: NeighborBackend, x: &Matrix, y: &[i32]) -> (f64, Vec<f64>, 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let scale = suod_bench::Scale::from_args();
-    let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let host_cores = host_cores();
     let rev = git_rev();
     let params = HnswParams::default();
 

@@ -1,8 +1,10 @@
-//! Distance-kernel backend report: naive vs blocked vs GEMM, scalar vs
-//! SIMD, f64 vs mixed precision.
+//! Distance-kernel backend report: the per-pair reference loop vs blocked
+//! vs GEMM, scalar vs SIMD, f64 vs mixed precision.
 //!
 //! Sweeps the pairwise-distance kernels over `(n, d)` in
-//! `{2k, 20k} x {8, 32, 128}` for every [`DistanceBackend`] — timing the
+//! `{2k, 20k} x {8, 32, 128}` for the untiled reference loop
+//! ([`reference_pairwise_distances`], the test oracle no config selects)
+//! and every [`DistanceBackend`] — timing the
 //! GEMM backend once per [`SimdLane`] (forced via
 //! [`set_simd_lane_override`]) and once per [`Precision`] — times the
 //! batched brute-force kNN fast path, and sweeps the KD-tree-vs-brute
@@ -21,16 +23,17 @@
 //!
 //! Flags: `--quick` shrinks problem sizes for smoke runs; `--smoke`
 //! times only the 20k x 32 pairwise cell and exits non-zero unless the
-//! blocked backend beats naive AND (when the host supports AVX2+FMA)
+//! blocked backend beats the reference loop AND (when the host supports
+//! AVX2+FMA)
 //! the AVX2 gemm lane beats the forced-scalar gemm lane (the CI
 //! regression gates for the tiled and vectorized kernels).
 
 use std::fmt::Write as _;
-use suod_bench::{git_rev, min_time, Scale};
+use suod_bench::{git_rev, host_cores, min_time, Scale};
+use suod_linalg::distance::reference_pairwise_distances;
 use suod_linalg::{
-    pairwise_distances_backend, pairwise_distances_with, set_simd_lane_override, DistanceBackend,
-    DistanceMetric, KernelConfig, KnnIndex, Matrix, Precision, SimdLane,
-    DEFAULT_KDTREE_CROSSOVER_DIM,
+    pairwise_distances_with, set_simd_lane_override, DistanceBackend, DistanceMetric, KernelConfig,
+    KnnIndex, Matrix, Precision, SimdLane, DEFAULT_KDTREE_CROSSOVER_DIM,
 };
 
 const REPS: usize = 3;
@@ -71,7 +74,7 @@ fn gemm_config(precision: Precision) -> KernelConfig {
 
 /// One pairwise cell's timings across backends, lanes and precisions.
 struct PairwiseCell {
-    naive_s: f64,
+    reference_s: f64,
     blocked_s: f64,
     gemm_scalar_s: f64,
     gemm_simd_s: f64,
@@ -82,13 +85,14 @@ struct PairwiseCell {
 impl PairwiseCell {
     fn measure(n: usize, d: usize) -> Self {
         let a = random_matrix(n, d, n as u64 ^ d as u64);
-        let scalar_only = |backend| {
-            min_time(REPS, || {
-                let _ =
-                    pairwise_distances_backend(&a, &a, DistanceMetric::Euclidean, backend, 1, None)
-                        .expect("shapes agree");
-            })
-        };
+        let metric = DistanceMetric::Euclidean;
+        let reference_s = min_time(REPS, || {
+            let _ = reference_pairwise_distances(&a, &a, metric);
+        });
+        let blocked_s = min_time(REPS, || {
+            let _ = pairwise_distances_with(&a, &a, metric, KernelConfig::default(), 1, None)
+                .expect("shapes agree");
+        });
         let gemm = |lane, precision| {
             time_with_lane(lane, || {
                 let _ = pairwise_distances_with(
@@ -103,8 +107,8 @@ impl PairwiseCell {
             })
         };
         Self {
-            naive_s: scalar_only(DistanceBackend::Naive),
-            blocked_s: scalar_only(DistanceBackend::Blocked),
+            reference_s,
+            blocked_s,
             gemm_scalar_s: gemm(SimdLane::Scalar, Precision::F64),
             gemm_simd_s: gemm(SimdLane::Avx2, Precision::F64),
             gemm_mixed_scalar_s: gemm(SimdLane::Scalar, Precision::Mixed),
@@ -116,18 +120,18 @@ impl PairwiseCell {
         let mut s = String::from("{");
         let _ = write!(
             s,
-            "\"naive_s\": {:.6}, \"blocked_s\": {:.6}, \"gemm_scalar_s\": {:.6}, \
+            "\"reference_s\": {:.6}, \"blocked_s\": {:.6}, \"gemm_scalar_s\": {:.6}, \
              \"gemm_simd_s\": {:.6}, \"gemm_mixed_scalar_s\": {:.6}, \
              \"gemm_mixed_simd_s\": {:.6}, \"blocked_speedup\": {:.4}, \
              \"gemm_speedup\": {:.4}, \"simd_speedup\": {:.4}, \"mixed_speedup\": {:.4}}}",
-            self.naive_s,
+            self.reference_s,
             self.blocked_s,
             self.gemm_scalar_s,
             self.gemm_simd_s,
             self.gemm_mixed_scalar_s,
             self.gemm_mixed_simd_s,
-            self.naive_s / self.blocked_s,
-            self.naive_s / self.gemm_simd_s,
+            self.reference_s / self.blocked_s,
+            self.reference_s / self.gemm_simd_s,
             self.gemm_scalar_s / self.gemm_simd_s,
             self.gemm_simd_s / self.gemm_mixed_simd_s,
         );
@@ -146,30 +150,30 @@ fn brute_config(backend: DistanceBackend) -> KernelConfig {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let scale = Scale::from_args();
-    let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let host_cores = host_cores();
     let avx2 = SimdLane::supported() == SimdLane::Avx2;
     let rev = git_rev();
 
     if args.iter().any(|a| a == "--smoke") {
         // CI gates on the acceptance cell (20k x 32): the tiled blocked
-        // kernel must beat the naive scan, and on AVX2 hosts the vector
+        // kernel must beat the reference loop, and on AVX2 hosts the vector
         // lane must beat the forced-scalar lane.
         let (n, d) = (20_000, 32);
         println!("kernel smoke: pairwise {n}x{d} (avx2 supported: {avx2})");
         let cell = PairwiseCell::measure(n, d);
         println!(
-            "naive {:.3}s  blocked {:.3}s ({:.2}x)  gemm scalar {:.3}s  gemm simd {:.3}s \
+            "reference {:.3}s  blocked {:.3}s ({:.2}x)  gemm scalar {:.3}s  gemm simd {:.3}s \
              ({:.2}x over scalar)  mixed simd {:.3}s",
-            cell.naive_s,
+            cell.reference_s,
             cell.blocked_s,
-            cell.naive_s / cell.blocked_s,
+            cell.reference_s / cell.blocked_s,
             cell.gemm_scalar_s,
             cell.gemm_simd_s,
             cell.gemm_scalar_s / cell.gemm_simd_s,
             cell.gemm_mixed_simd_s,
         );
-        if cell.blocked_s >= cell.naive_s {
-            eprintln!("FAIL: blocked backend no faster than naive");
+        if cell.blocked_s >= cell.reference_s {
+            eprintln!("FAIL: blocked backend no faster than the reference loop");
             std::process::exit(1);
         }
         if avx2 && cell.gemm_simd_s >= cell.gemm_scalar_s {
@@ -193,12 +197,12 @@ fn main() {
         for &d in dims {
             let cell = PairwiseCell::measure(n, d);
             println!(
-                "pairwise {n:>6}x{d:<4} naive {:>8.3}s  blocked {:>8.3}s ({:>4.2}x)  \
+                "pairwise {n:>6}x{d:<4} reference {:>8.3}s  blocked {:>8.3}s ({:>4.2}x)  \
                  gemm[scalar] {:>8.3}s  gemm[simd] {:>8.3}s ({:>4.2}x lane)  \
                  mixed[simd] {:>8.3}s ({:>4.2}x prec)",
-                cell.naive_s,
+                cell.reference_s,
                 cell.blocked_s,
-                cell.naive_s / cell.blocked_s,
+                cell.reference_s / cell.blocked_s,
                 cell.gemm_scalar_s,
                 cell.gemm_simd_s,
                 cell.gemm_scalar_s / cell.gemm_simd_s,
@@ -217,26 +221,32 @@ fn main() {
     );
     let train = random_matrix(knn_n, knn_d, 21);
     let queries = random_matrix(knn_q, knn_d, 22);
+    let build = |config| {
+        KnnIndex::build_with(&train, DistanceMetric::Euclidean, config, 1).expect("non-empty")
+    };
     let knn_time = |config: KernelConfig| {
-        let index =
-            KnnIndex::build_with(&train, DistanceMetric::Euclidean, config).expect("non-empty");
+        let index = build(config);
         min_time(REPS, || {
-            let _ = index
-                .query_batch_parallel(&queries, knn_k, 1)
-                .expect("shapes agree");
+            let _ = index.query_batch(&queries, knn_k, 1).expect("shapes agree");
         })
     };
-    let knn_naive = knn_time(brute_config(DistanceBackend::Naive));
+    // Reference: one untiled `query()` scan per row on a blocked index.
+    let reference_index = build(brute_config(DistanceBackend::Blocked));
+    let knn_reference = min_time(REPS, || {
+        for i in 0..queries.nrows() {
+            let _ = reference_index.query(queries.row(i), knn_k);
+        }
+    });
     let knn_blocked = knn_time(brute_config(DistanceBackend::Blocked));
     let knn_gemm = knn_time(brute_config(DistanceBackend::Gemm));
     let knn_mixed = knn_time(gemm_config(Precision::Mixed));
     println!(
-        "knn_batch {knn_n}tr/{knn_q}q d{knn_d} k{knn_k}  naive {knn_naive:>8.3}s  \
+        "knn_batch {knn_n}tr/{knn_q}q d{knn_d} k{knn_k}  reference {knn_reference:>8.3}s  \
          blocked {knn_blocked:>8.3}s ({:>4.2}x)  gemm {knn_gemm:>8.3}s ({:>4.2}x)  \
          gemm+mixed {knn_mixed:>8.3}s ({:>4.2}x)",
-        knn_naive / knn_blocked,
-        knn_naive / knn_gemm,
-        knn_naive / knn_mixed,
+        knn_reference / knn_blocked,
+        knn_reference / knn_gemm,
+        knn_reference / knn_mixed,
     );
 
     // --- KD-tree crossover sweep. ------------------------------------------
@@ -252,24 +262,21 @@ fn main() {
             kdtree_crossover_dim: usize::MAX,
             ..KernelConfig::default()
         };
-        let tree =
-            KnnIndex::build_with(&train, DistanceMetric::Euclidean, tree_cfg).expect("non-empty");
+        let tree = KnnIndex::build_with(&train, DistanceMetric::Euclidean, tree_cfg, 1)
+            .expect("non-empty");
         assert!(tree.uses_kdtree(), "crossover sweep needs a real tree");
         let brute = KnnIndex::build_with(
             &train,
             DistanceMetric::Euclidean,
             brute_config(DistanceBackend::Blocked),
+            1,
         )
         .expect("non-empty");
         let tree_s = min_time(REPS, || {
-            let _ = tree
-                .query_batch_parallel(&queries, cx_k, 1)
-                .expect("shapes");
+            let _ = tree.query_batch(&queries, cx_k, 1).expect("shapes");
         });
         let brute_s = min_time(REPS, || {
-            let _ = brute
-                .query_batch_parallel(&queries, cx_k, 1)
-                .expect("shapes");
+            let _ = brute.query_batch(&queries, cx_k, 1).expect("shapes");
         });
         if tree_s < brute_s {
             derived_crossover = d;
@@ -294,7 +301,7 @@ fn main() {
          \"avx2_fma_supported\": {avx2},\n  \"lane_detected\": \"{}\",\n  \
          \"precisions\": [\"f64\", \"mixed\"],\n  \"scale\": \"{scale:?}\",\n  \
          \"n_threads\": 1,\n  \"pairwise\": {{\n    {}\n  }},\n  \
-         \"knn_batch_n{knn_n}_q{knn_q}_d{knn_d}_k{knn_k}\": {{\"naive_s\": {knn_naive:.6}, \
+         \"knn_batch_n{knn_n}_q{knn_q}_d{knn_d}_k{knn_k}\": {{\"reference_s\": {knn_reference:.6}, \
          \"blocked_s\": {knn_blocked:.6}, \"gemm_s\": {knn_gemm:.6}, \
          \"gemm_mixed_s\": {knn_mixed:.6}}},\n  \
          \"kdtree_crossover_n{cx_n}_q{cx_q}_k{cx_k}\": {{\n    {}\n  }},\n  \

@@ -1,7 +1,7 @@
 //! Parallel-kernel and end-to-end timing report.
 //!
-//! Times the data-parallel kernels (`pairwise_distances`,
-//! `matmul_blocked`, `KnnIndex::query_batch_parallel`), the
+//! Times the data-parallel kernels (`pairwise_distances_with`,
+//! `KnnIndex::query_batch`), the
 //! static-vs-stealing executor straggler workload, and the full SUOD
 //! fit/predict pipeline at 1/2/4/8 threads, and writes the results to
 //! `BENCH_parallel.json` in the working directory so the perf trajectory
@@ -23,8 +23,8 @@
 
 use std::fmt::Write as _;
 use suod::prelude::*;
-use suod_bench::{git_rev, min_time, Scale};
-use suod_linalg::{pairwise_distances_parallel, DistanceMetric, KnnIndex, Matrix};
+use suod_bench::{git_rev, host_cores, min_time, Scale};
+use suod_linalg::{pairwise_distances_with, DistanceMetric, KernelConfig, KnnIndex, Matrix};
 use suod_scheduler::{bps_schedule, simulate_makespan, WorkStealingExecutor};
 
 const THREADS: &[usize] = &[1, 2, 4, 8];
@@ -133,7 +133,7 @@ fn proximity_pool() -> Vec<ModelSpec> {
 
 fn main() {
     let scale = Scale::from_args();
-    let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let host_cores = host_cores();
     let rev = git_rev();
     println!("Parallel kernel + end-to-end report (host cores: {host_cores})");
 
@@ -141,14 +141,9 @@ fn main() {
     let (pw_n, pw_d) = scale.pick((400, 16), (2000, 16), (2000, 16));
     let a = random_matrix(pw_n, pw_d, 1);
     let pairwise = sweep(&format!("pairwise {pw_n}x{pw_d}"), |t| {
-        let _ = pairwise_distances_parallel(&a, &a, DistanceMetric::Euclidean, t).expect("shapes");
-    });
-
-    let mm = scale.pick(128, 384, 384);
-    let ma = random_matrix(mm, mm, 2);
-    let mb = random_matrix(mm, mm, 3);
-    let matmul = sweep(&format!("matmul_blocked {mm}^3"), |t| {
-        let _ = ma.matmul_blocked(&mb, t).expect("shapes");
+        let config = KernelConfig::default();
+        let _ = pairwise_distances_with(&a, &a, DistanceMetric::Euclidean, config, t, None)
+            .expect("shapes");
     });
 
     let (knn_n, knn_q) = scale.pick((500, 100), (2000, 500), (2000, 500));
@@ -156,7 +151,7 @@ fn main() {
     let queries = random_matrix(knn_q, 16, 5);
     let index = KnnIndex::build(&train, DistanceMetric::Euclidean).expect("non-empty");
     let knn = sweep(&format!("knn_batch {knn_n}tr/{knn_q}q"), |t| {
-        let _ = index.query_batch_parallel(&queries, 10, t).expect("shapes");
+        let _ = index.query_batch(&queries, 10, t).expect("shapes");
     });
 
     // --- Executor straggler workload (t = 4). ------------------------------
@@ -267,7 +262,7 @@ fn main() {
     // --- Report. -----------------------------------------------------------
     let json = format!(
         "{{\n  \"git_rev\": \"{rev}\",\n  \"host_cores\": {host_cores},\n  \"scale\": \"{scale:?}\",\n  \"kernels\": {{\n    \
-         \"pairwise_{pw_n}x{pw_d}\": {pairwise},\n    \"matmul_blocked_{mm}\": {matmul},\n    \
+         \"pairwise_{pw_n}x{pw_d}\": {pairwise},\n    \
          \"knn_batch_{knn_n}x{knn_q}\": {knn}\n  }},\n  \"executor_straggler_m16_t4\": {{\n    \
          \"static_sim_s\": {static_sim_s:.6},\n    \"stealing_s\": {stealing_s:.6},\n    \
          \"steals\": {steals}\n  }},\n  \"end_to_end_n{n}\": {{\n    \"fit\": {},\n    \

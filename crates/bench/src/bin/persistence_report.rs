@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 use suod::prelude::*;
-use suod_bench::{git_rev, Scale};
+use suod_bench::{git_rev, host_cores, Scale};
 use suod_datasets::registry;
 use suod_linalg::SimdLane;
 
@@ -64,7 +64,7 @@ fn builder() -> SuodBuilder {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let scale = Scale::from_args();
-    let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let host_cores = host_cores();
     let avx2 = SimdLane::supported() == SimdLane::Avx2;
     let rev = git_rev();
 

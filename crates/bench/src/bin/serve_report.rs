@@ -20,7 +20,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use suod::prelude::*;
-use suod_bench::{git_rev, Scale};
+use suod_bench::{git_rev, host_cores, Scale};
 use suod_datasets::registry;
 use suod_linalg::SimdLane;
 use suod_serve::{ManualClock, ScoreOutcome, ScoreService, ServeConfig, SubmitError};
@@ -183,7 +183,7 @@ fn chaos_trace_bits(x: &Matrix, queries: &[Matrix], workers: usize) -> (Vec<Vec<
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let scale = Scale::from_args();
-    let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let host_cores = host_cores();
     let avx2 = SimdLane::supported() == SimdLane::Avx2;
     let rev = git_rev();
 

@@ -125,6 +125,12 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
+/// Cores this process may run on, recorded in every `BENCH_*.json` so a
+/// reader can tell a single-core timing from a parallel one.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
 /// Formats a fraction as a percentage string with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}", 100.0 * x)

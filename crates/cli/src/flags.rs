@@ -185,7 +185,7 @@ pub struct DetectArgs {
     pub seed: u64,
     /// Optional output CSV path for scores.
     pub output: Option<String>,
-    /// Brute-force distance backend (naive | blocked | gemm).
+    /// Brute-force distance backend (blocked | gemm).
     pub backend: DistanceBackend,
     /// Kernel numeric precision (f64 | mixed).
     pub precision: Precision,
@@ -502,7 +502,7 @@ FIT / DETECT / TRACE OPTIONS:
   --contamination <c>   expected outlier fraction             [0.1]
   --seed <s>            RNG seed                              [42]
   --output <path>       detect: score CSV; trace: trace file
-  --backend <b>         distance backend: naive|blocked|gemm  [blocked]
+  --backend <b>         distance backend: blocked|gemm        [blocked]
   --precision <p>       distance kernels: f64|mixed           [f64]
                         mixed = f32 packed storage with f64
                         accumulation (documented error bound)

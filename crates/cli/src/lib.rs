@@ -674,6 +674,12 @@ mod tests {
         assert_eq!(d.precision, Precision::F64);
         assert_eq!(d.neighbor, NeighborBackend::Exact);
         assert_eq!(d.ef_search, None);
+
+        // The per-pair loop is a test oracle, not a selectable backend.
+        let Err(err) = parse_args(&argv("detect --dataset cardio --backend naive")) else {
+            panic!("--backend naive must be rejected")
+        };
+        assert!(err.contains("blocked|gemm"), "{err}");
     }
 
     #[test]

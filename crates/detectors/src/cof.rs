@@ -189,7 +189,7 @@ impl Detector for CofDetector {
         // Batched neighbour lookup hits the tiled brute-force fast path
         // on blocked/gemm indexes; results equal per-row queries exactly.
         let k = self.k.min(index.len());
-        let batch = index.query_batch(x, k)?;
+        let batch = index.query_batch(x, k, 1)?;
         Ok(batch
             .iter()
             .enumerate()

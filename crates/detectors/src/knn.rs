@@ -168,7 +168,7 @@ impl Detector for KnnDetector {
         check_dims(index.train_data().ncols(), x)?;
         // Batched neighbour lookup hits the tiled brute-force fast path
         // on blocked/gemm indexes; results equal per-row queries exactly.
-        let batch = index.query_batch(x, self.k)?;
+        let batch = index.query_batch(x, self.k, 1)?;
         Ok(batch
             .iter()
             .map(|nn| {

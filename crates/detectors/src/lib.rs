@@ -309,8 +309,7 @@ impl FitContext {
                     let span = self
                         .observer
                         .span_begin(suod_observe::Stage::NeighborBuild, SpanAttrs::none());
-                    let index =
-                        KnnIndex::build_with_threads(x, metric, self.kernel, self.n_threads());
+                    let index = KnnIndex::build_with(x, metric, self.kernel, self.n_threads());
                     self.observer.span_end(span);
                     let index = Arc::new(index?);
                     let span = self

@@ -142,7 +142,7 @@ impl Detector for LofDetector {
         let k = self.k.min(index.len());
         // Batched neighbour lookup hits the tiled brute-force fast path
         // on blocked/gemm indexes; results equal per-row queries exactly.
-        let batch = index.query_batch(x, k)?;
+        let batch = index.query_batch(x, k, 1)?;
         let mut scores = Vec::with_capacity(x.nrows());
         for nn in &batch {
             let reach_sum: f64 = nn

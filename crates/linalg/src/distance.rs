@@ -11,17 +11,18 @@
 //!
 //! Brute-force evaluation is pluggable via [`DistanceBackend`]:
 //!
-//! * `naive` — one query row against the full training matrix at a time;
-//!   the reference implementation.
-//! * `blocked` (default) — identical arithmetic, tiled over column blocks
-//!   so a panel of training rows stays cache-resident; **bit-identical**
-//!   to `naive` for every metric.
+//! * `blocked` (default) — the exact path: each pair is the sequential
+//!   fold `metric.distance` performs, tiled over pair blocks so a panel
+//!   of training rows stays cache-resident and advanced four pairs at a
+//!   time; **bit-identical** to the untiled per-pair loop
+//!   ([`reference_pairwise_distances`], the test and bench oracle) for
+//!   every metric and thread count.
 //! * `gemm` — Euclidean distances through the packed-panel GEMM in
 //!   [`crate::gemm`] via the norm trick `d² = ‖x‖² + ‖y‖² − 2·x·y`
 //!   (clamped at zero); fastest, numerically equal within ~1e-9 on squared
-//!   distances but *not* bitwise equal to `naive`. Non-Euclidean metrics
-//!   fall back to `blocked` and record a fallback hit. The micro-kernel
-//!   lane (scalar or AVX2) is picked per invocation by
+//!   distances but *not* bitwise equal to the exact path. Non-Euclidean
+//!   metrics fall back to `blocked` and record a fallback hit. The
+//!   micro-kernel lane (scalar or AVX2) is picked per invocation by
 //!   [`SimdLane::detect`](crate::gemm::SimdLane::detect) — invisible in
 //!   the output, visible in the counters. With
 //!   [`Precision::Mixed`](crate::gemm::Precision) the gemm paths store
@@ -96,13 +97,13 @@ impl DistanceMetric {
     }
 }
 
-/// Rows of `b` per cache tile in the blocked backend: at the widths the
+/// Rows of `b` per cache tile in the blocked sweep: at the widths the
 /// paper evaluates (d ≤ a few hundred) a 256-row tile is L1/L2-resident,
 /// so a block of `a` rows streams over a hot tile instead of re-reading
 /// all of `b` from L3/DRAM per query row.
 const BLOCKED_J_TILE: usize = 256;
 
-/// Rows of `a` per cache tile in the blocked backend: bounds the output
+/// Rows of `a` per cache tile in the blocked sweep: bounds the output
 /// window a `b` tile sweeps before advancing, so writes stay inside a
 /// band of rows (TLB-friendly at 10k+ row matrices) while the `b` tile
 /// is reused from L1 across the whole band.
@@ -114,83 +115,27 @@ const KNN_Q_TILE: usize = 32;
 /// Training rows per tile in the batched brute-force kNN fast path.
 const KNN_T_TILE: usize = 512;
 
-/// Full pairwise distance matrix between the rows of `a` and the rows of `b`.
+/// Full pairwise distance matrix between the rows of `a` and the rows of
+/// `b`, on one thread with the default (exact, blocked) [`KernelConfig`].
 ///
 /// # Errors
 ///
 /// Returns [`Error::ShapeMismatch`] when column counts differ.
 pub fn pairwise_distances(a: &Matrix, b: &Matrix, metric: DistanceMetric) -> Result<Matrix> {
-    pairwise_distances_parallel(a, b, metric, 1)
+    pairwise_distances_with(a, b, metric, KernelConfig::default(), 1, None)
 }
 
-/// [`pairwise_distances`] chunked over row blocks of `a` across
-/// `n_threads` scoped threads, evaluated through the blocked kernel
-/// (bit-identical to naive — see [`DistanceBackend::Blocked`]).
+/// Pairwise distances honouring a full [`KernelConfig`], chunked over row
+/// blocks of `a` across `n_threads` scoped threads.
 ///
-/// Each output element is computed by the same code path regardless of
-/// chunking and tiling, so the result is **bit-identical** to the
-/// single-threaded naive kernel for every `n_threads`.
-///
-/// # Errors
-///
-/// Returns [`Error::ShapeMismatch`] when column counts differ.
-pub fn pairwise_distances_parallel(
-    a: &Matrix,
-    b: &Matrix,
-    metric: DistanceMetric,
-    n_threads: usize,
-) -> Result<Matrix> {
-    pairwise_distances_backend(a, b, metric, DistanceBackend::Blocked, n_threads, None)
-}
-
-/// Pairwise distances through an explicit [`DistanceBackend`].
-///
-/// `naive` and `blocked` produce bitwise-equal matrices for every metric;
-/// `gemm` applies the norm trick for [`DistanceMetric::Euclidean`] and
-/// falls back to `blocked` otherwise (recording a fallback hit on
-/// `stats`). All backends are bit-identical across `n_threads`.
-///
-/// # Errors
-///
-/// Returns [`Error::ShapeMismatch`] when column counts differ.
-pub fn pairwise_distances_backend(
-    a: &Matrix,
-    b: &Matrix,
-    metric: DistanceMetric,
-    backend: DistanceBackend,
-    n_threads: usize,
-    stats: Option<&KernelStats>,
-) -> Result<Matrix> {
-    if a.ncols() != b.ncols() {
-        return Err(Error::ShapeMismatch {
-            op: "pairwise_distances",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    match backend {
-        DistanceBackend::Naive => Ok(naive_pairwise(a, b, metric, n_threads)),
-        DistanceBackend::Blocked => Ok(blocked_pairwise(a, b, metric, n_threads)),
-        DistanceBackend::Gemm => {
-            if metric == DistanceMetric::Euclidean {
-                gemm_pairwise(a, b, Precision::F64, n_threads, stats)
-            } else {
-                if let Some(s) = stats {
-                    s.record_fallback();
-                }
-                Ok(blocked_pairwise(a, b, metric, n_threads))
-            }
-        }
-    }
-}
-
-/// Pairwise distances honouring a full [`KernelConfig`]: the backend
-/// *and* the precision. [`Precision::Mixed`] only changes the
-/// [`DistanceBackend::Gemm`] Euclidean path (f32 packed storage, f64
-/// accumulation, within [`crate::gemm::mixed_distance_error_bound`] of
-/// the exact distances); every other combination is exact and identical
-/// to [`pairwise_distances_backend`]. All paths remain bit-identical
-/// across `n_threads`.
+/// [`DistanceBackend::Blocked`] is exact: every element is one
+/// `metric.distance` call, bitwise equal to
+/// [`reference_pairwise_distances`]. [`DistanceBackend::Gemm`] applies
+/// the norm trick for [`DistanceMetric::Euclidean`] (in f32 packed
+/// storage under [`Precision::Mixed`], within
+/// [`crate::gemm::mixed_distance_error_bound`] of the exact distances)
+/// and falls back to `Blocked` for other metrics, recording a fallback
+/// hit on `stats`. Every path is bit-identical across `n_threads`.
 ///
 /// # Errors
 ///
@@ -203,33 +148,42 @@ pub fn pairwise_distances_with(
     n_threads: usize,
     stats: Option<&KernelStats>,
 ) -> Result<Matrix> {
-    if config.backend == DistanceBackend::Gemm
-        && config.precision == Precision::Mixed
-        && metric == DistanceMetric::Euclidean
-    {
-        if a.ncols() != b.ncols() {
-            return Err(Error::ShapeMismatch {
-                op: "pairwise_distances",
-                lhs: a.shape(),
-                rhs: b.shape(),
-            });
-        }
-        return gemm_pairwise(a, b, Precision::Mixed, n_threads, stats);
+    if a.ncols() != b.ncols() {
+        return Err(Error::ShapeMismatch {
+            op: "pairwise_distances",
+            lhs: a.shape(),
+            rhs: b.shape(),
+        });
     }
-    pairwise_distances_backend(a, b, metric, config.backend, n_threads, stats)
+    if config.backend == DistanceBackend::Gemm {
+        if metric == DistanceMetric::Euclidean {
+            return Ok(gemm_pairwise(a, b, config.precision, n_threads, stats));
+        }
+        if let Some(s) = stats {
+            s.record_fallback();
+        }
+    }
+    Ok(blocked_pairwise(a, b, metric, n_threads))
 }
 
-fn naive_pairwise(a: &Matrix, b: &Matrix, metric: DistanceMetric, n_threads: usize) -> Matrix {
+/// The per-pair reference loop: `out[i][j] = metric.distance(a_i, b_j)`,
+/// row by row, untiled, on one thread. No [`KernelConfig`] selects it; it
+/// is the oracle the tests and the kernel bench hold the blocked and gemm
+/// paths against.
+///
+/// # Panics
+///
+/// Panics when column counts differ.
+pub fn reference_pairwise_distances(a: &Matrix, b: &Matrix, metric: DistanceMetric) -> Matrix {
+    assert_eq!(a.ncols(), b.ncols(), "column counts must match");
     let mut out = Matrix::zeros(a.nrows(), b.nrows());
-    let cols = b.nrows();
-    crate::parallel::par_row_blocks(out.as_mut_slice(), cols, n_threads, |rows, block| {
-        for (offset, out_row) in block.chunks_mut(cols).enumerate() {
-            let ra = a.row(rows.start + offset);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                *o = metric.distance(ra, b.row(j));
-            }
+    let cols = b.nrows().max(1);
+    for (i, out_row) in out.as_mut_slice().chunks_mut(cols).enumerate() {
+        let ra = a.row(i);
+        for (j, o) in out_row.iter_mut().enumerate() {
+            *o = metric.distance(ra, b.row(j));
         }
-    });
+    }
     out
 }
 
@@ -240,8 +194,7 @@ fn blocked_pairwise(a: &Matrix, b: &Matrix, metric: DistanceMetric, n_threads: u
         // i-tile x j-tile: the j-tile of `b` rows stays in L1 while a
         // bounded band of `a` rows consumes it, and output writes stay
         // inside that band instead of striding the whole matrix per
-        // tile. Per element the arithmetic is exactly the naive
-        // `metric.distance` call — bit-identical.
+        // tile.
         let block_rows = rows.len();
         for i0 in (0..block_rows).step_by(BLOCKED_I_TILE) {
             let i1 = (i0 + BLOCKED_I_TILE).min(block_rows);
@@ -250,9 +203,7 @@ fn blocked_pairwise(a: &Matrix, b: &Matrix, metric: DistanceMetric, n_threads: u
                 for offset in i0..i1 {
                     let ra = a.row(rows.start + offset);
                     let out_row = &mut block[offset * cols..(offset + 1) * cols];
-                    for (j, o) in out_row[j0..j1].iter_mut().enumerate() {
-                        *o = metric.distance(ra, b.row(j0 + j));
-                    }
+                    distances_to_rows(metric, ra, b, j0, &mut out_row[j0..j1]);
                 }
             }
         }
@@ -260,20 +211,84 @@ fn blocked_pairwise(a: &Matrix, b: &Matrix, metric: DistanceMetric, n_threads: u
     out
 }
 
+/// `out[j] = metric.distance(ra, b.row(j0 + j))`, bit for bit.
+///
+/// Euclidean and Manhattan take the rows of `b` four at a time: the four
+/// per-pair sums advance in lockstep over ascending `k`, each the same
+/// sequential fold `metric.distance` performs, so the results are
+/// unchanged while the four independent add chains overlap instead of
+/// each waiting on its own latency. Minkowski (dominated by `powf`) and
+/// the trailing rows take the per-pair call.
+#[inline]
+fn distances_to_rows(metric: DistanceMetric, ra: &[f64], b: &Matrix, j0: usize, out: &mut [f64]) {
+    let done = match metric {
+        DistanceMetric::Euclidean => lockstep4(ra, b, j0, out, |x, y| (x - y) * (x - y), f64::sqrt),
+        DistanceMetric::Manhattan => lockstep4(ra, b, j0, out, |x, y| (x - y).abs(), |s| s),
+        DistanceMetric::Minkowski(_) => 0,
+    };
+    for (j, o) in out.iter_mut().enumerate().skip(done) {
+        *o = metric.distance(ra, b.row(j0 + j));
+    }
+}
+
+/// Writes `finish(Σ_k term(ra[k], b[j0 + j][k]))` for the largest
+/// multiple of four leading entries of `out`, returning how many it
+/// wrote. Each sum starts from its first term rather than the zero
+/// `Iterator::sum` starts from; every term is `+0.0` or more, so that
+/// first addition is exact and the bits agree. (A NaN term gives a NaN
+/// either way; Rust leaves the sign and payload of a NaN unspecified.)
+#[inline(always)]
+fn lockstep4(
+    ra: &[f64],
+    b: &Matrix,
+    j0: usize,
+    out: &mut [f64],
+    term: impl Fn(f64, f64) -> f64,
+    finish: impl Fn(f64) -> f64,
+) -> usize {
+    let d = ra.len();
+    if d == 0 {
+        return 0;
+    }
+    let whole = out.len() / 4 * 4;
+    for (q, o) in out[..whole].chunks_exact_mut(4).enumerate() {
+        let j = j0 + 4 * q;
+        let (r0, r1, r2, r3) = (
+            &b.row(j)[..d],
+            &b.row(j + 1)[..d],
+            &b.row(j + 2)[..d],
+            &b.row(j + 3)[..d],
+        );
+        let x = ra[0];
+        let mut s = [
+            term(x, r0[0]),
+            term(x, r1[0]),
+            term(x, r2[0]),
+            term(x, r3[0]),
+        ];
+        for k in 1..d {
+            let x = ra[k];
+            s[0] += term(x, r0[k]);
+            s[1] += term(x, r1[k]);
+            s[2] += term(x, r2[k]);
+            s[3] += term(x, r3[k]);
+        }
+        for (o, s) in o.iter_mut().zip(s) {
+            *o = finish(s);
+        }
+    }
+    whole
+}
+
+/// Norm-trick distances over packed panels. Callers have checked that
+/// column counts agree.
 fn gemm_pairwise(
     a: &Matrix,
     b: &Matrix,
     precision: Precision,
     n_threads: usize,
     stats: Option<&KernelStats>,
-) -> Result<Matrix> {
-    if a.ncols() != b.ncols() {
-        return Err(Error::ShapeMismatch {
-            op: "gemm_pairwise",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
+) -> Matrix {
     let lane = SimdLane::detect();
     if let Some(s) = stats {
         s.record_gemm(a.nrows(), b.nrows(), lane, precision);
@@ -284,7 +299,9 @@ fn gemm_pairwise(
     // distances stream out in a single pass instead of materialising the
     // Gram matrix and re-walking it (which triples memory traffic on
     // large inputs). In mixed mode the norms are taken over the
-    // f32-rounded rows so every term refers to the same rounded data.
+    // f32-rounded rows so every term refers to the same rounded data —
+    // which also makes `gemm_pairwise(a, a, ..)` exactly symmetric with
+    // an exactly zero diagonal.
     match precision {
         Precision::F64 => {
             let na = crate::gemm::row_sq_norms(a);
@@ -313,95 +330,25 @@ fn gemm_pairwise(
             );
         }
     }
-    Ok(out)
+    out
 }
 
-/// Self-distance matrix of `a`: equal to `pairwise_distances(a, a, m)`
-/// but computes only the upper triangle and mirrors it, halving the
-/// metric evaluations.
+/// Self-distance matrix of `a` through the blocked sweep: evaluates only
+/// the upper triangle and mirrors it, halving the metric evaluations.
 ///
 /// The mirror is exact: every supported metric is built from terms
 /// symmetric in its arguments (`(x - y)^2`, `|x - y|`), so
 /// `distance(u, v)` is bitwise equal to `distance(v, u)` and the result
-/// matches the naive full computation bit-for-bit.
-pub fn pairwise_distances_symmetric(a: &Matrix, metric: DistanceMetric) -> Matrix {
-    pairwise_distances_symmetric_parallel(a, metric, 1)
-}
-
-/// [`pairwise_distances_symmetric`] with the upper-triangle rows chunked
-/// across `n_threads` scoped threads through the blocked kernel
-/// (bit-identical to naive for every `n_threads`).
-pub fn pairwise_distances_symmetric_parallel(
-    a: &Matrix,
-    metric: DistanceMetric,
-    n_threads: usize,
-) -> Matrix {
-    pairwise_distances_symmetric_backend(a, metric, DistanceBackend::Blocked, n_threads, None)
-}
-
-/// Symmetric pairwise distances through an explicit [`DistanceBackend`].
-///
-/// `naive`/`blocked` evaluate the upper triangle and mirror (bitwise
-/// equal to each other and to the full naive matrix); `gemm` computes the
-/// full norm-trick matrix directly — the Gram matrix and the norm sums
-/// are symmetric term by term, so the result is still exactly symmetric.
-/// Non-Euclidean metrics under `gemm` fall back to `blocked` (recording a
-/// fallback hit on `stats`).
-pub fn pairwise_distances_symmetric_backend(
-    a: &Matrix,
-    metric: DistanceMetric,
-    backend: DistanceBackend,
-    n_threads: usize,
-    stats: Option<&KernelStats>,
-) -> Matrix {
-    pairwise_distances_symmetric_with(
-        a,
-        metric,
-        KernelConfig::default().with_backend(backend),
-        n_threads,
-        stats,
-    )
-}
-
-/// Symmetric pairwise distances honouring a full [`KernelConfig`]
-/// (backend and precision) — the symmetric counterpart of
-/// [`pairwise_distances_with`]. Mixed precision affects only the gemm
-/// Euclidean path; the norm trick stays exactly symmetric there and the
-/// diagonal is exactly zero (norms and Gram diagonal are both taken over
-/// the f32-rounded rows, so the terms cancel bitwise).
-pub fn pairwise_distances_symmetric_with(
-    a: &Matrix,
-    metric: DistanceMetric,
-    config: KernelConfig,
-    n_threads: usize,
-    stats: Option<&KernelStats>,
-) -> Matrix {
-    let backend = config.backend;
-    if backend == DistanceBackend::Gemm {
-        if metric == DistanceMetric::Euclidean {
-            return gemm_pairwise(a, a, config.precision, n_threads, stats)
-                .expect("same matrix: shapes agree");
-        }
-        if let Some(s) = stats {
-            s.record_fallback();
-        }
-    }
+/// matches the full per-pair computation bit for bit, at any `n_threads`.
+fn symmetric_distances(a: &Matrix, metric: DistanceMetric, n_threads: usize) -> Matrix {
     let n = a.nrows();
     let mut out = Matrix::zeros(n, n);
-    let tile = match backend {
-        DistanceBackend::Naive => n.max(1),
-        _ => BLOCKED_J_TILE,
-    };
-    let itile = match backend {
-        DistanceBackend::Naive => n.max(1),
-        _ => BLOCKED_I_TILE,
-    };
     crate::parallel::par_row_blocks(out.as_mut_slice(), n.max(1), n_threads, |rows, block| {
         let block_rows = rows.len();
-        for i0 in (0..block_rows).step_by(itile) {
-            let i1 = (i0 + itile).min(block_rows);
-            for j0 in (0..n).step_by(tile) {
-                let j1 = (j0 + tile).min(n);
+        for i0 in (0..block_rows).step_by(BLOCKED_I_TILE) {
+            let i1 = (i0 + BLOCKED_I_TILE).min(block_rows);
+            for j0 in (0..n).step_by(BLOCKED_J_TILE) {
+                let j1 = (j0 + BLOCKED_J_TILE).min(n);
                 for offset in i0..i1 {
                     let i = rows.start + offset;
                     let ra = a.row(i);
@@ -409,9 +356,7 @@ pub fn pairwise_distances_symmetric_with(
                     // Rows past this tile's end contribute nothing
                     // (lo == j1).
                     let lo = j0.max(i).min(j1);
-                    for (j, o) in out_row[lo..j1].iter_mut().enumerate() {
-                        *o = metric.distance(ra, a.row(lo + j));
-                    }
+                    distances_to_rows(metric, ra, a, lo, &mut out_row[lo..j1]);
                 }
             }
         }
@@ -456,11 +401,9 @@ pub struct Neighbor {
 /// (`d ≤ kdtree_crossover_dim`, `n ≥ kdtree_min_rows`) is configurable
 /// there too. None of the backends caps the number of indexed or
 /// queried rows — the batched sweeps stream tiles through bounded
-/// per-query heaps, so memory stays `O(n d + q k)` at any size. (Until
-/// PR 5 the self-sweep materialized an `n x n` matrix and documented an
-/// `n ≤ 4096` practical cap; the cap is gone — 4096 rows survives only
-/// as the size at which the symmetric-matrix fast path hands over to
-/// tile streaming, see [`Self::self_query_batch`].)
+/// per-query heaps, so memory stays `O(n d + q k)` at any size, except
+/// for the symmetric-matrix fast path of [`Self::self_query_batch`],
+/// which engages only up to 4096 rows.
 ///
 /// # Example
 ///
@@ -494,18 +437,22 @@ pub struct KnnIndex {
 
 impl KnnIndex {
     /// Builds an index over the rows of `train` with the default
-    /// [`KernelConfig`], choosing the KD-tree backend automatically for
-    /// low-dimensional data.
+    /// [`KernelConfig`] on one thread, choosing the KD-tree backend
+    /// automatically for low-dimensional data.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Empty`] when `train` has no rows.
     pub fn build(train: &Matrix, metric: DistanceMetric) -> Result<Self> {
-        Self::build_with(train, metric, KernelConfig::default())
+        Self::build_with(train, metric, KernelConfig::default(), 1)
     }
 
-    /// Builds an index with explicit kernel tuning: the distance backend
-    /// for brute-force sweeps and the KD-tree crossover thresholds.
+    /// Builds an index with explicit kernel tuning — the distance backend
+    /// for brute-force sweeps, the KD-tree crossover thresholds and the
+    /// neighbour backend — and a worker budget for construction. Only
+    /// the HNSW backend has parallel construction work (its frozen-graph
+    /// candidate searches); the resulting index is **bit-identical for
+    /// every `n_threads`**.
     ///
     /// # Errors
     ///
@@ -514,85 +461,10 @@ impl KnnIndex {
         train: &Matrix,
         metric: DistanceMetric,
         config: KernelConfig,
-    ) -> Result<Self> {
-        Self::build_inner(train, metric, config, 1, true, "KnnIndex::build")
-    }
-
-    /// [`build_with`](Self::build_with) with an explicit worker budget
-    /// for index construction. Only the HNSW backend has parallel
-    /// construction work (its frozen-graph candidate searches); the
-    /// resulting index is **bit-identical for every `n_threads`**.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Empty`] when `train` has no rows.
-    pub fn build_with_threads(
-        train: &Matrix,
-        metric: DistanceMetric,
-        config: KernelConfig,
         n_threads: usize,
-    ) -> Result<Self> {
-        Self::build_inner(train, metric, config, n_threads, true, "KnnIndex::build")
-    }
-
-    /// Serializes the index for a `suod-pool/1` snapshot: the training
-    /// slab, metric, and [`KernelConfig`]. Tree/graph internals are *not*
-    /// stored — [`snapshot_read`](Self::snapshot_read) rebuilds them
-    /// deterministically (KD-tree construction is input-ordered and the
-    /// HNSW build is seeded), which keeps the format independent of
-    /// in-memory layout while preserving bit-identical query results.
-    pub fn snapshot_write(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        w.write_matrix(&self.train);
-        w.write_metric(self.metric);
-        w.write_kernel_config(&self.config);
-    }
-
-    /// Reconstructs an index written by [`snapshot_write`](Self::snapshot_write),
-    /// rebuilding any KD-tree or HNSW structure with `n_threads` workers
-    /// (bit-identical for every thread count).
-    ///
-    /// # Errors
-    ///
-    /// Returns a `snapshot:`-prefixed [`Error::InvalidParameter`] on a
-    /// truncated or corrupt payload, and propagates build failures.
-    pub fn snapshot_read(
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-        n_threads: usize,
-    ) -> Result<Self> {
-        let train = r.read_matrix()?;
-        let metric = r.read_metric()?;
-        let config = r.read_kernel_config()?;
-        Self::build_with_threads(&train, metric, config, n_threads)
-    }
-
-    /// Builds an index that always scans linearly (used by tests to check
-    /// backend equivalence, and available when the access pattern defeats
-    /// tree pruning).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Empty`] when `train` has no rows.
-    pub fn build_brute_force(train: &Matrix, metric: DistanceMetric) -> Result<Self> {
-        Self::build_inner(
-            train,
-            metric,
-            KernelConfig::default(),
-            1,
-            false,
-            "KnnIndex::build_brute_force",
-        )
-    }
-
-    fn build_inner(
-        train: &Matrix,
-        metric: DistanceMetric,
-        config: KernelConfig,
-        n_threads: usize,
-        allow_acceleration: bool,
-        op: &'static str,
     ) -> Result<Self> {
         if train.nrows() == 0 {
-            return Err(Error::Empty(op));
+            return Err(Error::Empty("KnnIndex::build"));
         }
         let stats = Arc::new(KernelStats::new());
         // The ANN backend takes precedence over the KD-tree when it is
@@ -600,9 +472,7 @@ impl KnnIndex {
         // and records the exactness fallback.
         let hnsw_params = match config.neighbor {
             NeighborBackend::Hnsw(p)
-                if allow_acceleration
-                    && metric == DistanceMetric::Euclidean
-                    && train.nrows() >= p.min_rows =>
+                if metric == DistanceMetric::Euclidean && train.nrows() >= p.min_rows =>
             {
                 Some(p)
             }
@@ -612,10 +482,7 @@ impl KnnIndex {
             }
             NeighborBackend::Exact => None,
         };
-        let tree = if hnsw_params.is_none()
-            && allow_acceleration
-            && config.uses_kdtree(train.nrows(), train.ncols())
-        {
+        let tree = if hnsw_params.is_none() && config.uses_kdtree(train.nrows(), train.ncols()) {
             Some(crate::kdtree::KdTree::build(train, metric)?)
         } else {
             None
@@ -656,6 +523,36 @@ impl KnnIndex {
             train_sq_norms,
             stats,
         })
+    }
+
+    /// Serializes the index for a `suod-pool/1` snapshot: the training
+    /// slab, metric, and [`KernelConfig`]. Tree/graph internals are *not*
+    /// stored — [`snapshot_read`](Self::snapshot_read) rebuilds them
+    /// deterministically (KD-tree construction is input-ordered and the
+    /// HNSW build is seeded), which keeps the format independent of
+    /// in-memory layout while preserving bit-identical query results.
+    pub fn snapshot_write(&self, w: &mut crate::snapshot::SnapshotWriter) {
+        w.write_matrix(&self.train);
+        w.write_metric(self.metric);
+        w.write_kernel_config(&self.config);
+    }
+
+    /// Reconstructs an index written by [`snapshot_write`](Self::snapshot_write),
+    /// rebuilding any KD-tree or HNSW structure with `n_threads` workers
+    /// (bit-identical for every thread count).
+    ///
+    /// # Errors
+    ///
+    /// Returns a `snapshot:`-prefixed [`Error::InvalidParameter`] on a
+    /// truncated or corrupt payload, and propagates build failures.
+    pub fn snapshot_read(
+        r: &mut crate::snapshot::SnapshotReader<'_>,
+        n_threads: usize,
+    ) -> Result<Self> {
+        let train = r.read_matrix()?;
+        let metric = r.read_metric()?;
+        let config = r.read_kernel_config()?;
+        Self::build_with(&train, metric, config, n_threads)
     }
 
     /// `true` when queries go through the KD-tree backend.
@@ -779,30 +676,20 @@ impl KnnIndex {
         nn
     }
 
-    /// k-nearest neighbours for every row of `queries`.
+    /// k-nearest neighbours for every row of `queries`, chunked across
+    /// `n_threads` scoped threads. Results are bit-identical for every
+    /// `n_threads`, and equal to per-row [`query`](Self::query) calls.
     ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ShapeMismatch`] when dimensionality differs.
-    pub fn query_batch(&self, queries: &Matrix, k: usize) -> Result<Vec<Vec<Neighbor>>> {
-        self.query_batch_parallel(queries, k, 1)
-    }
-
-    /// [`query_batch`](Self::query_batch) with the queries chunked
-    /// across `n_threads` scoped threads (both backends). Results are
-    /// bit-identical to the sequential batch for every `n_threads`, and
-    /// equal to per-row [`query`](Self::query) calls.
-    ///
-    /// On the brute-force blocked/gemm backends this runs the batched
-    /// fast path: distances are produced tile by tile (scalar tiles for
-    /// `blocked`, packed GEMM tiles plus the norm trick for `gemm`) and
-    /// each query keeps its k best in a bounded max-heap — the full
+    /// On the brute-force backends this runs the batched fast path:
+    /// distances are produced tile by tile (scalar tiles for `blocked`,
+    /// packed GEMM tiles plus the norm trick for `gemm`) and each query
+    /// keeps its k best in a bounded max-heap — the full
     /// `queries x train` distance matrix is never materialized.
     ///
     /// # Errors
     ///
     /// Returns [`Error::ShapeMismatch`] when dimensionality differs.
-    pub fn query_batch_parallel(
+    pub fn query_batch(
         &self,
         queries: &Matrix,
         k: usize,
@@ -815,10 +702,7 @@ impl KnnIndex {
                 rhs: self.train.shape(),
             });
         }
-        if self.hnsw.is_some()
-            || self.tree.is_some()
-            || self.config.backend == DistanceBackend::Naive
-        {
+        if self.hnsw.is_some() || self.tree.is_some() {
             // Per-row queries chunked across threads; graph searches are
             // pure reads, so chunking cannot change any result.
             return Ok(crate::parallel::par_chunk_map(
@@ -837,67 +721,43 @@ impl KnnIndex {
     ///
     /// Brute-force gemm indexes stream norm-trick GEMM tiles through
     /// per-row bounded heaps (no `n x n` matrix, no size cap). Other
-    /// brute-force backends use the symmetric-matrix fast path up to a
-    /// memory cap — distances from
-    /// [`pairwise_distances_symmetric_backend`], which evaluates the
-    /// metric only for the upper triangle and mirrors — and the blocked
-    /// backend switches to the tiled heap sweep beyond the cap. The
-    /// KD-tree backend (and oversized naive inputs) fall back to per-row
-    /// queries, chunked across `n_threads` either way.
+    /// brute-force indexes up to 4096 rows take the symmetric-matrix fast
+    /// path — the blocked sweep evaluates the metric only for the upper
+    /// triangle and mirrors — and stream blocked tiles through bounded
+    /// heaps beyond that. The KD-tree and HNSW backends run per-row
+    /// queries. Every path is chunked across `n_threads`.
     pub fn self_query_batch(&self, k: usize, n_threads: usize) -> Vec<Vec<Neighbor>> {
         let n = self.train.nrows();
-        if self.hnsw.is_some() {
-            // Leave-one-out via the approximate graph: per-row searches
-            // with the `query_excluding` k+1 protocol, chunked across
-            // threads (pure reads — thread-count invariant).
+        if self.tree.is_none() && self.hnsw.is_none() {
+            if self.train_sq_norms.is_some() || n > SELF_BATCH_MATRIX_MAX_ROWS {
+                return self.brute_batch_topk(&self.train, k, n_threads, true);
+            }
+            // Gemm lands here only for non-Euclidean metrics, whose sweeps
+            // take the blocked kernel (the fallback hit was recorded at
+            // build time).
+            let d = symmetric_distances(&self.train, self.metric, n_threads);
             return crate::parallel::par_chunk_map(n, n_threads, |range| {
                 range
-                    .map(|i| self.query_excluding(self.train.row(i), k, i))
+                    .map(|i| {
+                        let all: Vec<Neighbor> = d
+                            .row(i)
+                            .iter()
+                            .enumerate()
+                            .map(|(j, &distance)| Neighbor { index: j, distance })
+                            .collect();
+                        // Same k+1 / drop-self / truncate protocol as
+                        // `query_excluding`, fed bitwise-equal distances.
+                        let mut nn = select_smallest(all, (k + 1).min(n));
+                        nn.retain(|nb| nb.index != i);
+                        nn.truncate(k);
+                        nn
+                    })
                     .collect()
             });
         }
-        if self.tree.is_none() {
-            if self.train_sq_norms.is_some() {
-                return self.brute_batch_topk(&self.train, k, n_threads, true);
-            }
-            if n <= SELF_BATCH_MATRIX_MAX_ROWS {
-                // Gemm lands here only for non-Euclidean metrics; its
-                // symmetric fallback is the blocked kernel (the fallback
-                // hit was recorded at build time).
-                let backend = match self.config.backend {
-                    DistanceBackend::Naive => DistanceBackend::Naive,
-                    _ => DistanceBackend::Blocked,
-                };
-                let d = pairwise_distances_symmetric_backend(
-                    &self.train,
-                    self.metric,
-                    backend,
-                    n_threads,
-                    None,
-                );
-                return crate::parallel::par_chunk_map(n, n_threads, |range| {
-                    range
-                        .map(|i| {
-                            let all: Vec<Neighbor> = d
-                                .row(i)
-                                .iter()
-                                .enumerate()
-                                .map(|(j, &distance)| Neighbor { index: j, distance })
-                                .collect();
-                            // Same k+1 / drop-self / truncate protocol as
-                            // `query_excluding`, fed bitwise-equal distances.
-                            let mut nn = select_smallest(all, (k + 1).min(n));
-                            nn.retain(|nb| nb.index != i);
-                            nn.truncate(k);
-                            nn
-                        })
-                        .collect()
-                });
-            }
-            if self.config.backend != DistanceBackend::Naive {
-                return self.brute_batch_topk(&self.train, k, n_threads, true);
-            }
-        }
+        // Leave-one-out through the KD-tree or the approximate graph:
+        // per-row searches with the `query_excluding` k+1 protocol (pure
+        // reads — thread-count invariant).
         crate::parallel::par_chunk_map(n, n_threads, |range| {
             range
                 .map(|i| self.query_excluding(self.train.row(i), k, i))
@@ -982,13 +842,14 @@ impl KnnIndex {
                             }
                         }
                     } else {
+                        let dist = &mut scratch[..t1 - t0];
                         for qi in q0..q1 {
-                            let rq = queries.row(qi);
+                            distances_to_rows(metric, queries.row(qi), train, t0, dist);
                             let heap = &mut heaps[qi - range.start];
-                            for j in t0..t1 {
+                            for (j, &distance) in dist.iter().enumerate() {
                                 heap.push(Neighbor {
-                                    index: j,
-                                    distance: metric.distance(rq, train.row(j)),
+                                    index: t0 + j,
+                                    distance,
                                 });
                             }
                         }
@@ -1020,9 +881,8 @@ enum TrainTile {
 
 /// Memory cap for the symmetric-matrix fast path of
 /// [`KnnIndex::self_query_batch`]: a 4096-row set costs a 128 MiB
-/// distance matrix; beyond that the blocked/gemm backends stream tiles
-/// through bounded heaps and the naive backend falls back to row-at-a-time
-/// queries.
+/// distance matrix; beyond that the sweep streams tiles through bounded
+/// heaps.
 const SELF_BATCH_MATRIX_MAX_ROWS: usize = 4096;
 
 /// Bounded max-heap over the total order (distance, index): keeps the
@@ -1206,7 +1066,7 @@ mod tests {
     fn batch_matches_single() {
         let idx = KnnIndex::build(&line_points(), DistanceMetric::Euclidean).unwrap();
         let q = Matrix::from_rows(&[vec![0.1], vec![9.0]]).unwrap();
-        let batch = idx.query_batch(&q, 2).unwrap();
+        let batch = idx.query_batch(&q, 2, 1).unwrap();
         assert_eq!(batch[0], idx.query(&[0.1], 2));
         assert_eq!(batch[1], idx.query(&[9.0], 2));
     }
@@ -1225,6 +1085,16 @@ mod tests {
         Matrix::from_vec(rows, cols, (0..rows * cols).map(|_| next()).collect()).unwrap()
     }
 
+    /// Exact config with the KD-tree disabled: every sweep is blocked
+    /// brute force.
+    fn brute_cfg() -> KernelConfig {
+        KernelConfig::default().with_kdtree_crossover_dim(0)
+    }
+
+    fn gemm_cfg() -> KernelConfig {
+        KernelConfig::default().with_backend(DistanceBackend::Gemm)
+    }
+
     const ALL_METRICS: [DistanceMetric; 3] = [
         DistanceMetric::Euclidean,
         DistanceMetric::Manhattan,
@@ -1238,7 +1108,9 @@ mod tests {
         for metric in ALL_METRICS {
             let base = pairwise_distances(&a, &b, metric).unwrap();
             for threads in [2usize, 4, 8] {
-                let par = pairwise_distances_parallel(&a, &b, metric, threads).unwrap();
+                let par =
+                    pairwise_distances_with(&a, &b, metric, KernelConfig::default(), threads, None)
+                        .unwrap();
                 assert_eq!(par.as_slice(), base.as_slice(), "threads={threads}");
             }
         }
@@ -1250,18 +1122,11 @@ mod tests {
         let a = random_matrix(67, 9, 21);
         let b = random_matrix(BLOCKED_J_TILE + 37, 9, 22);
         for metric in ALL_METRICS {
-            let naive = pairwise_distances_backend(&a, &b, metric, DistanceBackend::Naive, 1, None)
-                .unwrap();
+            let naive = reference_pairwise_distances(&a, &b, metric);
             for threads in [1usize, 3] {
-                let blocked = pairwise_distances_backend(
-                    &a,
-                    &b,
-                    metric,
-                    DistanceBackend::Blocked,
-                    threads,
-                    None,
-                )
-                .unwrap();
+                let blocked =
+                    pairwise_distances_with(&a, &b, metric, KernelConfig::default(), threads, None)
+                        .unwrap();
                 assert_eq!(
                     blocked.as_slice(),
                     naive.as_slice(),
@@ -1272,36 +1137,54 @@ mod tests {
     }
 
     #[test]
+    fn blocked_backend_bit_identical_on_special_values() {
+        // Signed zeros, infinities, NaN, subnormals and duplicate rows:
+        // the lockstep sums start from their first term instead of zero,
+        // which must not change a bit. A NaN result compares as NaN only:
+        // Rust leaves the sign and payload of a NaN result unspecified,
+        // and the two loops disagree on them in debug builds.
+        let special = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            5e-324,
+            -1.5,
+        ];
+        let rows: Vec<Vec<f64>> = (0..special.len() * 2)
+            .map(|i| (0..3).map(|k| special[(i + k * (i / 7 + 1)) % 7]).collect())
+            .collect();
+        let a = Matrix::from_rows(&rows).unwrap();
+        for metric in ALL_METRICS {
+            let want = reference_pairwise_distances(&a, &a, metric);
+            let got = pairwise_distances(&a, &a, metric).unwrap();
+            let bits = |m: &Matrix| {
+                let bits = |v: f64| if v.is_nan() { f64::NAN } else { v }.to_bits();
+                m.as_slice().iter().map(|&v| bits(v)).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&got), bits(&want), "{metric:?}");
+            let sym = symmetric_distances(&a, metric, 2);
+            assert_eq!(bits(&sym), bits(&want), "{metric:?} symmetric");
+        }
+    }
+
+    #[test]
     fn gemm_backend_close_to_naive_and_deterministic() {
         let a = random_matrix(41, 7, 31);
         let b = random_matrix(29, 7, 32);
-        let naive = pairwise_distances_backend(
-            &a,
-            &b,
-            DistanceMetric::Euclidean,
-            DistanceBackend::Naive,
-            1,
-            None,
-        )
-        .unwrap();
-        let base = pairwise_distances_backend(
-            &a,
-            &b,
-            DistanceMetric::Euclidean,
-            DistanceBackend::Gemm,
-            1,
-            None,
-        )
-        .unwrap();
+        let naive = reference_pairwise_distances(&a, &b, DistanceMetric::Euclidean);
+        let base = pairwise_distances_with(&a, &b, DistanceMetric::Euclidean, gemm_cfg(), 1, None)
+            .unwrap();
         for (g, n) in base.as_slice().iter().zip(naive.as_slice()) {
             assert!((g - n).abs() <= 1e-9 * (1.0 + n.abs()), "{g} vs {n}");
         }
         for threads in [2usize, 5] {
-            let par = pairwise_distances_backend(
+            let par = pairwise_distances_with(
                 &a,
                 &b,
                 DistanceMetric::Euclidean,
-                DistanceBackend::Gemm,
+                gemm_cfg(),
                 threads,
                 None,
             )
@@ -1314,24 +1197,16 @@ mod tests {
     fn gemm_backend_non_euclidean_falls_back() {
         let a = random_matrix(12, 4, 3);
         let stats = KernelStats::new();
-        let gemm = pairwise_distances_backend(
+        let gemm = pairwise_distances_with(
             &a,
             &a,
             DistanceMetric::Manhattan,
-            DistanceBackend::Gemm,
+            gemm_cfg(),
             1,
             Some(&stats),
         )
         .unwrap();
-        let naive = pairwise_distances_backend(
-            &a,
-            &a,
-            DistanceMetric::Manhattan,
-            DistanceBackend::Naive,
-            1,
-            None,
-        )
-        .unwrap();
+        let naive = reference_pairwise_distances(&a, &a, DistanceMetric::Manhattan);
         assert_eq!(gemm.as_slice(), naive.as_slice());
         assert_eq!(stats.snapshot().fallback_hits, 1);
         assert_eq!(stats.snapshot().gemm_tiles, 0);
@@ -1342,10 +1217,10 @@ mod tests {
         let a = random_matrix(31, 4, 3);
         for metric in ALL_METRICS {
             let full = pairwise_distances(&a, &a, metric).unwrap();
-            let sym = pairwise_distances_symmetric(&a, metric);
+            let sym = symmetric_distances(&a, metric, 1);
             assert_eq!(sym.as_slice(), full.as_slice(), "{metric:?}");
             for threads in [2usize, 4] {
-                let par = pairwise_distances_symmetric_parallel(&a, metric, threads);
+                let par = symmetric_distances(&a, metric, threads);
                 assert_eq!(
                     par.as_slice(),
                     full.as_slice(),
@@ -1358,13 +1233,8 @@ mod tests {
     #[test]
     fn symmetric_gemm_is_symmetric_and_zero_diagonal_free() {
         let a = random_matrix(19, 6, 13);
-        let d = pairwise_distances_symmetric_backend(
-            &a,
-            DistanceMetric::Euclidean,
-            DistanceBackend::Gemm,
-            1,
-            None,
-        );
+        let d = pairwise_distances_with(&a, &a, DistanceMetric::Euclidean, gemm_cfg(), 1, None)
+            .unwrap();
         for i in 0..a.nrows() {
             assert_eq!(d.get(i, i), 0.0);
             for j in 0..a.nrows() {
@@ -1375,16 +1245,16 @@ mod tests {
     }
 
     #[test]
-    fn query_batch_parallel_bit_identical() {
+    fn query_batch_bit_identical_across_threads() {
         let train = random_matrix(60, 6, 1);
         let queries = random_matrix(33, 6, 2);
         for idx in [
             KnnIndex::build(&train, DistanceMetric::Euclidean).unwrap(),
-            KnnIndex::build_brute_force(&train, DistanceMetric::Euclidean).unwrap(),
+            KnnIndex::build_with(&train, DistanceMetric::Euclidean, brute_cfg(), 1).unwrap(),
         ] {
-            let base = idx.query_batch(&queries, 5).unwrap();
+            let base = idx.query_batch(&queries, 5, 1).unwrap();
             for threads in [2usize, 4, 8] {
-                let par = idx.query_batch_parallel(&queries, 5, threads).unwrap();
+                let par = idx.query_batch(&queries, 5, threads).unwrap();
                 assert_eq!(par, base, "threads={threads}");
             }
         }
@@ -1400,14 +1270,14 @@ mod tests {
                 kdtree_crossover_dim: 0, // force brute
                 ..KernelConfig::default().with_backend(backend)
             };
-            let idx = KnnIndex::build_with(&train, DistanceMetric::Euclidean, cfg).unwrap();
+            let idx = KnnIndex::build_with(&train, DistanceMetric::Euclidean, cfg, 1).unwrap();
             assert!(!idx.uses_kdtree());
-            let batch = idx.query_batch(&queries, 7).unwrap();
+            let batch = idx.query_batch(&queries, 7, 1).unwrap();
             for (i, nn) in batch.iter().enumerate() {
                 assert_eq!(nn, &idx.query(queries.row(i), 7), "{backend:?} row {i}");
             }
             for threads in [2usize, 4] {
-                let par = idx.query_batch_parallel(&queries, 7, threads).unwrap();
+                let par = idx.query_batch(&queries, 7, threads).unwrap();
                 assert_eq!(par, batch, "{backend:?} threads={threads}");
             }
         }
@@ -1420,7 +1290,7 @@ mod tests {
             kdtree_crossover_dim: 0,
             ..KernelConfig::default().with_backend(DistanceBackend::Gemm)
         };
-        let idx = KnnIndex::build_with(&train, DistanceMetric::Euclidean, cfg).unwrap();
+        let idx = KnnIndex::build_with(&train, DistanceMetric::Euclidean, cfg, 1).unwrap();
         idx.self_query_batch(3, 1);
         let c = idx.kernel_counters();
         assert!(c.gemm_tiles > 0);
@@ -1435,12 +1305,13 @@ mod tests {
             kdtree_crossover_dim: 0,
             ..KernelConfig::default().with_backend(DistanceBackend::Gemm)
         };
-        let idx = KnnIndex::build_with(&train, DistanceMetric::Manhattan, cfg).unwrap();
+        let idx = KnnIndex::build_with(&train, DistanceMetric::Manhattan, cfg, 1).unwrap();
         let c = idx.kernel_counters();
         assert_eq!(c.fallback_hits, 1);
-        // The sweeps still agree exactly with the naive reference.
-        let naive = KnnIndex::build_brute_force(&train, DistanceMetric::Manhattan).unwrap();
-        assert_eq!(idx.self_query_batch(4, 1), naive.self_query_batch(4, 1));
+        // The sweeps still agree exactly with the blocked brute force.
+        let blocked =
+            KnnIndex::build_with(&train, DistanceMetric::Manhattan, brute_cfg(), 1).unwrap();
+        assert_eq!(idx.self_query_batch(4, 1), blocked.self_query_batch(4, 1));
     }
 
     #[test]
@@ -1470,7 +1341,7 @@ mod tests {
             kdtree_crossover_dim: 0,
             ..KernelConfig::default().with_backend(DistanceBackend::Gemm)
         };
-        let idx = KnnIndex::build_with(&train, DistanceMetric::Euclidean, cfg).unwrap();
+        let idx = KnnIndex::build_with(&train, DistanceMetric::Euclidean, cfg, 1).unwrap();
         let expected: Vec<Vec<Neighbor>> = (0..train.nrows())
             .map(|i| idx.query_excluding(train.row(i), 5, i))
             .collect();
@@ -1486,7 +1357,7 @@ mod tests {
     #[test]
     fn self_query_batch_respects_metric() {
         let train = random_matrix(40, 18, 5);
-        let idx = KnnIndex::build_brute_force(&train, DistanceMetric::Manhattan).unwrap();
+        let idx = KnnIndex::build_with(&train, DistanceMetric::Manhattan, brute_cfg(), 1).unwrap();
         let expected: Vec<Vec<Neighbor>> = (0..train.nrows())
             .map(|i| idx.query_excluding(train.row(i), 3, i))
             .collect();
@@ -1503,6 +1374,7 @@ mod tests {
                 kdtree_crossover_dim: 10,
                 ..KernelConfig::default()
             },
+            1,
         )
         .unwrap();
         assert!(on.uses_kdtree());
@@ -1513,6 +1385,7 @@ mod tests {
                 kdtree_crossover_dim: 9,
                 ..KernelConfig::default()
             },
+            1,
         )
         .unwrap();
         assert!(!off.uses_kdtree());
@@ -1534,15 +1407,7 @@ mod tests {
     fn mixed_pairwise_within_bound_and_thread_deterministic() {
         let a = random_matrix(43, 9, 81);
         let b = random_matrix(27, 9, 82);
-        let exact = pairwise_distances_backend(
-            &a,
-            &b,
-            DistanceMetric::Euclidean,
-            DistanceBackend::Naive,
-            1,
-            None,
-        )
-        .unwrap();
+        let exact = reference_pairwise_distances(&a, &b, DistanceMetric::Euclidean);
         let base = pairwise_distances_with(&a, &b, DistanceMetric::Euclidean, mixed_cfg(), 1, None)
             .unwrap();
         for i in 0..a.nrows() {
@@ -1577,23 +1442,15 @@ mod tests {
         let mixed =
             pairwise_distances_with(&a, &a, DistanceMetric::Manhattan, mixed_cfg(), 1, None)
                 .unwrap();
-        let naive = pairwise_distances_backend(
-            &a,
-            &a,
-            DistanceMetric::Manhattan,
-            DistanceBackend::Naive,
-            1,
-            None,
-        )
-        .unwrap();
+        let naive = reference_pairwise_distances(&a, &a, DistanceMetric::Manhattan);
         assert_eq!(mixed.as_slice(), naive.as_slice());
     }
 
     #[test]
     fn mixed_symmetric_has_exact_zero_diagonal() {
         let a = random_matrix(21, 6, 84);
-        let d =
-            pairwise_distances_symmetric_with(&a, DistanceMetric::Euclidean, mixed_cfg(), 1, None);
+        let d = pairwise_distances_with(&a, &a, DistanceMetric::Euclidean, mixed_cfg(), 1, None)
+            .unwrap();
         for i in 0..a.nrows() {
             assert_eq!(d.get(i, i), 0.0, "diagonal at {i}");
             for j in 0..a.nrows() {
@@ -1609,14 +1466,14 @@ mod tests {
         // path has, across the KNN tile boundaries.
         let train = random_matrix(KNN_T_TILE + 41, 6, 85);
         let queries = random_matrix(KNN_Q_TILE + 9, 6, 86);
-        let idx = KnnIndex::build_with(&train, DistanceMetric::Euclidean, mixed_cfg()).unwrap();
+        let idx = KnnIndex::build_with(&train, DistanceMetric::Euclidean, mixed_cfg(), 1).unwrap();
         assert!(!idx.uses_kdtree());
-        let batch = idx.query_batch(&queries, 7).unwrap();
+        let batch = idx.query_batch(&queries, 7, 1).unwrap();
         for (i, nn) in batch.iter().enumerate() {
             assert_eq!(nn, &idx.query(queries.row(i), 7), "row {i}");
         }
         for threads in [2usize, 4] {
-            let par = idx.query_batch_parallel(&queries, 7, threads).unwrap();
+            let par = idx.query_batch(&queries, 7, threads).unwrap();
             assert_eq!(par, batch, "threads={threads}");
         }
     }
@@ -1624,7 +1481,7 @@ mod tests {
     #[test]
     fn mixed_self_query_batch_matches_query_excluding() {
         let train = random_matrix(90, 8, 87);
-        let idx = KnnIndex::build_with(&train, DistanceMetric::Euclidean, mixed_cfg()).unwrap();
+        let idx = KnnIndex::build_with(&train, DistanceMetric::Euclidean, mixed_cfg(), 1).unwrap();
         let expected: Vec<Vec<Neighbor>> = (0..train.nrows())
             .map(|i| idx.query_excluding(train.row(i), 5, i))
             .collect();
@@ -1649,10 +1506,11 @@ mod tests {
                 kdtree_crossover_dim: 0,
                 ..KernelConfig::default().with_backend(DistanceBackend::Gemm)
             },
+            1,
         )
         .unwrap();
         let mixed_idx =
-            KnnIndex::build_with(&train, DistanceMetric::Euclidean, mixed_cfg()).unwrap();
+            KnnIndex::build_with(&train, DistanceMetric::Euclidean, mixed_cfg(), 1).unwrap();
         let k = 10;
         let exact = f64_idx.self_query_batch(k, 1);
         let approx = mixed_idx.self_query_batch(k, 1);
@@ -1670,7 +1528,7 @@ mod tests {
     #[test]
     fn mixed_counters_tag_invocations() {
         let train = random_matrix(60, 6, 89);
-        let idx = KnnIndex::build_with(&train, DistanceMetric::Euclidean, mixed_cfg()).unwrap();
+        let idx = KnnIndex::build_with(&train, DistanceMetric::Euclidean, mixed_cfg(), 1).unwrap();
         idx.self_query_batch(3, 1);
         let c = idx.kernel_counters();
         assert!(c.gemm_tiles > 0);

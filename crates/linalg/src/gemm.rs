@@ -6,13 +6,12 @@
 //! nearest cache level, and express everything as a GEMM. This module is
 //! the compute core behind the [`distance`](crate::distance) backends:
 //!
-//! * [`matmul_packed`] / [`gram`] — a cache-aware matrix product built
-//!   from an `MR x NR` (4x8) register-blocked inner kernel over
-//!   contiguous **packed panels**: `MR`-row interleaved panels of `A` and
-//!   `NR`-wide interleaved panels of `B` (columns for `matmul_packed`,
-//!   rows for [`gram`], which computes `A · Bᵀ`).
+//! * [`gram`] — the cache-aware product `A · Bᵀ` built from an
+//!   `MR x NR` (4x8) register-blocked inner kernel over contiguous
+//!   **packed panels**: `MR`-row interleaved panels of `A` and `NR`-wide
+//!   interleaved panels of `B`'s rows.
 //! * [`DistanceBackend`] — selects how pairwise distances are evaluated
-//!   (`naive` | `blocked` | `gemm`); threaded from `SuodBuilder` through
+//!   (`blocked` | `gemm`); threaded from `SuodBuilder` through
 //!   `FitContext`/`NeighborCache` into every proximity detector.
 //! * [`KernelConfig`] — backend plus the KD-tree-vs-brute-force
 //!   crossover tuning consumed by
@@ -99,30 +98,28 @@ pub const DEFAULT_KDTREE_MIN_ROWS: usize = 128;
 /// How pairwise distances and brute-force neighbour sweeps are computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DistanceBackend {
-    /// Scalar per-pair loops, one query row against the full training
-    /// matrix at a time. The reference implementation every other
-    /// backend is validated against.
-    Naive,
-    /// The same per-pair arithmetic as `Naive` — identical formula,
-    /// identical reduction order, **bit-identical results** — but tiled
-    /// over pair blocks so a panel of `B` rows stays resident in cache
-    /// while a block of `A` rows streams through it. The default.
+    /// The exact path and the default: each pair is the sequential fold
+    /// `metric.distance` performs, tiled over pair blocks so a panel of
+    /// `B` rows stays resident in cache while a block of `A` rows streams
+    /// through it, four pairs at a time. The tiling changes only *when* a
+    /// pair is evaluated, never its arithmetic, so results are
+    /// **bit-identical** to the untiled per-pair loop
+    /// ([`reference_pairwise_distances`](crate::distance::reference_pairwise_distances)).
     #[default]
     Blocked,
     /// Euclidean distances via the norm trick
     /// `d²(x, y) = ‖x‖² + ‖y‖² − 2·x·y` over a packed-panel GEMM, with
     /// the squared distance clamped at zero before the square root.
-    /// Fastest, but *not* bit-identical to `Naive` (see
-    /// [`DistanceBackend::is_bit_identical_to_naive`]); non-Euclidean
-    /// metrics fall back to `Blocked` (recorded as a fallback hit).
+    /// Fastest, but *not* bit-identical to `Blocked`: the rearranged sum
+    /// rounds differently. Non-Euclidean metrics fall back to `Blocked`
+    /// (recorded as a fallback hit).
     Gemm,
 }
 
 impl DistanceBackend {
-    /// Stable config/CLI name (`naive` | `blocked` | `gemm`).
+    /// Stable config/CLI name (`blocked` | `gemm`).
     pub fn name(self) -> &'static str {
         match self {
-            DistanceBackend::Naive => "naive",
             DistanceBackend::Blocked => "blocked",
             DistanceBackend::Gemm => "gemm",
         }
@@ -135,22 +132,12 @@ impl DistanceBackend {
     /// Returns [`Error::InvalidParameter`] for unknown names.
     pub fn parse(name: &str) -> Result<Self> {
         match name {
-            "naive" => Ok(DistanceBackend::Naive),
             "blocked" => Ok(DistanceBackend::Blocked),
             "gemm" => Ok(DistanceBackend::Gemm),
             other => Err(Error::InvalidParameter(format!(
-                "unknown distance backend `{other}` (expected naive|blocked|gemm)"
+                "unknown distance backend `{other}` (expected blocked|gemm)"
             ))),
         }
-    }
-
-    /// `true` when the backend produces the same bits as `Naive` for
-    /// every metric. `Blocked` reorders only *which* pairs are evaluated
-    /// when, never the arithmetic of a pair, so it qualifies; `Gemm`
-    /// algebraically rearranges `Σ(xᵢ−yᵢ)²` into `‖x‖²+‖y‖²−2x·y` and
-    /// does not.
-    pub fn is_bit_identical_to_naive(self) -> bool {
-        !matches!(self, DistanceBackend::Gemm)
     }
 }
 
@@ -163,8 +150,8 @@ impl std::fmt::Display for DistanceBackend {
 /// Which micro-kernel implementation executes a GEMM invocation.
 ///
 /// The lane is selected **once per kernel invocation** (a [`gram`],
-/// [`matmul_packed`], pairwise-distance, or batched-kNN call), never per
-/// tile, via [`SimdLane::detect`]: a programmatic override
+/// pairwise-distance, or batched-kNN call), never per tile, via
+/// [`SimdLane::detect`]: a programmatic override
 /// ([`set_simd_lane_override`], used by benches and CI) wins, then the
 /// `SUOD_SIMD_LANE` environment variable (`scalar` | `avx2`), then
 /// runtime CPU feature detection. Requesting `avx2` on a host without
@@ -363,7 +350,7 @@ pub struct KernelConfig {
     pub backend: DistanceBackend,
     /// Numeric precision of the packed distance kernels (f64 exact or
     /// f32-storage mixed). Only the [`DistanceBackend::Gemm`] distance
-    /// paths honour `Mixed`; the bit-identical backends always run f64.
+    /// paths honour `Mixed`; the exact `Blocked` path always runs f64.
     pub precision: Precision,
     /// Maximum dimensionality at which the KD-tree backend engages
     /// (replaces the old hardcoded `d <= 15`); see
@@ -621,7 +608,7 @@ impl<T: Copy + Default> Panels<T> {
         }
     }
 
-    /// Number of packed entities (rows or columns).
+    /// Number of packed rows.
     pub(crate) fn len(&self) -> usize {
         self.n_rows
     }
@@ -642,30 +629,6 @@ impl PackedPanels {
     /// Packs the rows in `range` into `width`-wide panels.
     pub(crate) fn from_row_range(m: &Matrix, range: Range<usize>, width: usize) -> Self {
         Self::from_row_range_with(m, range, width, |v| v)
-    }
-
-    /// Packs the *columns* of `m` (used for [`matmul_packed`], where the
-    /// reduction runs down `B`'s rows).
-    pub(crate) fn from_cols(m: &Matrix) -> Self {
-        let n_rows = m.ncols(); // packed axis = B's columns
-        let d = m.nrows(); // reduction axis = B's rows
-        let width = NR;
-        let n_panels = n_rows.div_ceil(width).max(usize::from(n_rows > 0));
-        let mut data = vec![0.0; n_panels * d * width];
-        for k in 0..d {
-            let row = m.row(k);
-            for (c, &v) in row.iter().enumerate() {
-                let panel = c / width;
-                let lane = c % width;
-                data[panel * d * width + k * width + lane] = v;
-            }
-        }
-        Self {
-            data,
-            n_rows,
-            d,
-            width,
-        }
     }
 }
 
@@ -1072,43 +1035,6 @@ pub fn gram(
     Ok(out)
 }
 
-/// Packed blocked matrix product `A · B`: `B`'s columns are packed into
-/// `NR`-wide panels once, then each thread's row block runs the 4x8
-/// micro-kernel over its `MR`-row panels of `A`.
-///
-/// Bit-identical across `n_threads`; matches [`Matrix::matmul`] within
-/// floating-point reassociation noise (the per-element reduction order is
-/// the same ascending `k`, but `matmul` skips exact-zero `a` terms).
-///
-/// # Errors
-///
-/// Returns [`Error::ShapeMismatch`] when `a.ncols() != b.nrows()`.
-pub fn matmul_packed(
-    a: &Matrix,
-    b: &Matrix,
-    n_threads: usize,
-    stats: Option<&KernelStats>,
-) -> Result<Matrix> {
-    if a.ncols() != b.nrows() {
-        return Err(Error::ShapeMismatch {
-            op: "matmul_packed",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let lane = SimdLane::detect();
-    if let Some(s) = stats {
-        s.record_gemm(a.nrows(), b.ncols(), lane, Precision::F64);
-    }
-    let packed = PackedPanels::from_cols(b);
-    let mut out = Matrix::zeros(a.nrows(), b.ncols());
-    let cols = b.ncols();
-    crate::parallel::par_row_blocks(out.as_mut_slice(), cols.max(1), n_threads, |rows, block| {
-        gram_rows_into(a, rows, &packed, lane, block);
-    });
-    Ok(out)
-}
-
 /// Squared Euclidean norm of every row (the cached `‖x‖²` terms of the
 /// norm trick).
 pub fn row_sq_norms(m: &Matrix) -> Vec<f64> {
@@ -1169,11 +1095,7 @@ mod tests {
 
     #[test]
     fn backend_names_round_trip() {
-        for b in [
-            DistanceBackend::Naive,
-            DistanceBackend::Blocked,
-            DistanceBackend::Gemm,
-        ] {
+        for b in [DistanceBackend::Blocked, DistanceBackend::Gemm] {
             assert_eq!(DistanceBackend::parse(b.name()).unwrap(), b);
         }
         assert!(DistanceBackend::parse("cuda").is_err());
@@ -1192,7 +1114,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_packed_matches_naive() {
+    fn gram_of_transpose_matches_matmul_across_panel_edges() {
         // Shapes straddling panel boundaries: exact multiples of 4,
         // off-by-one, tiny, and degenerate-thin.
         for (m, k, n) in [
@@ -1205,21 +1127,21 @@ mod tests {
         ] {
             let a = random_matrix(m, k, (m * 100 + n) as u64);
             let b = random_matrix(k, n, (k * 7 + 3) as u64);
-            let want = a.matmul(&b).unwrap();
+            let (want, bt) = (a.matmul(&b).unwrap(), b.transpose());
             for threads in [1usize, 2, 4] {
-                let got = matmul_packed(&a, &b, threads, None).unwrap();
+                let got = gram(&a, &bt, threads, None).unwrap();
                 assert_close(&got, &want, &format!("({m},{k},{n}) t={threads}"));
             }
         }
     }
 
     #[test]
-    fn matmul_packed_bit_identical_across_threads() {
+    fn gram_bit_identical_across_threads() {
         let a = random_matrix(37, 19, 1);
-        let b = random_matrix(19, 23, 2);
-        let base = matmul_packed(&a, &b, 1, None).unwrap();
+        let bt = random_matrix(19, 23, 2).transpose();
+        let base = gram(&a, &bt, 1, None).unwrap();
         for threads in [2usize, 3, 8] {
-            let par = matmul_packed(&a, &b, threads, None).unwrap();
+            let par = gram(&a, &bt, threads, None).unwrap();
             assert_eq!(par.as_slice(), base.as_slice(), "threads={threads}");
         }
     }
@@ -1254,8 +1176,7 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 4);
         assert!(gram(&a, &b, 1, None).is_err());
-        assert!(matmul_packed(&a, &b, 1, None).is_err());
-        assert!(matmul_packed(&a, &Matrix::zeros(3, 4), 1, None).is_ok());
+        assert!(gram(&a, &Matrix::zeros(4, 3), 1, None).is_ok());
     }
 
     #[test]

@@ -117,7 +117,8 @@ impl HnswParams {
 /// low-dimensional data) or the approximate [`HnswGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NeighborBackend {
-    /// Exact k-nearest neighbours (the default; bit-identical to naive).
+    /// Exact k-nearest neighbours (the default; bit-identical to a
+    /// per-row scan under the `blocked` backend).
     #[default]
     Exact,
     /// Approximate neighbours from a seeded deterministic HNSW graph.

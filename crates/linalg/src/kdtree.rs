@@ -217,6 +217,7 @@ impl KdTree {
 mod tests {
     use super::*;
     use crate::distance::KnnIndex;
+    use crate::KernelConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -226,12 +227,18 @@ mod tests {
         Matrix::from_vec(n, d, data).unwrap()
     }
 
+    /// Exact config with the KD-tree disabled.
+    fn brute_force() -> KernelConfig {
+        KernelConfig::default().with_kdtree_crossover_dim(0)
+    }
+
     #[test]
     fn matches_brute_force_exactly() {
         for (n, d) in [(50usize, 2usize), (300, 3), (500, 8)] {
             let pts = random_points(n, d, 42 + n as u64);
             let tree = KdTree::build(&pts, DistanceMetric::Euclidean).unwrap();
-            let brute = KnnIndex::build_brute_force(&pts, DistanceMetric::Euclidean).unwrap();
+            let brute =
+                KnnIndex::build_with(&pts, DistanceMetric::Euclidean, brute_force(), 1).unwrap();
             let queries = random_points(20, d, 7);
             for q in 0..queries.nrows() {
                 let a = tree.query(queries.row(q), 5);
@@ -251,7 +258,7 @@ mod tests {
             DistanceMetric::Minkowski(3.0),
         ] {
             let tree = KdTree::build(&pts, metric).unwrap();
-            let brute = KnnIndex::build_brute_force(&pts, metric).unwrap();
+            let brute = KnnIndex::build_with(&pts, metric, brute_force(), 1).unwrap();
             for q in 0..queries.nrows() {
                 assert_eq!(
                     tree.query(queries.row(q), 7),

@@ -16,10 +16,10 @@
 //!   the PCA projection baseline).
 //! * [`distance`] — distance metrics and k-nearest-neighbour search
 //!   (brute force + automatic KD-tree backend) shared by kNN/LOF/ABOD/LoOP.
-//! * [`gemm`] — packed, register-blocked GEMM micro-kernels with an
-//!   explicit AVX2 lane ([`SimdLane`], runtime-detected, scalar
-//!   fallback), the [`DistanceBackend`] selector (naive | blocked |
-//!   gemm) behind the brute-force distance paths, the opt-in
+//! * [`gemm`] — packed, register-blocked GEMM micro-kernels ([`gram`])
+//!   with an explicit AVX2 lane ([`SimdLane`], runtime-detected, scalar
+//!   fallback), the [`DistanceBackend`] selector (blocked | gemm) behind
+//!   the brute-force distance paths, the opt-in
 //!   mixed-precision mode ([`Precision`]: f32 packed storage, f64
 //!   accumulation), the configurable KD-tree crossover
 //!   ([`KernelConfig`]), and the kernel-work counters ([`KernelStats`]).
@@ -30,10 +30,11 @@
 //! * [`rank`] — argsort, average-tie ranking and top-k selection used by
 //!   the metrics crate and the BPS scheduler.
 //! * [`parallel`] — scoped-thread row-block helpers behind the
-//!   data-parallel kernels ([`pairwise_distances_parallel`],
-//!   [`Matrix::matmul_blocked`], [`KnnIndex::query_batch_parallel`]).
-//!   Every kernel takes an explicit thread count and produces
-//!   bit-identical results for every value of it.
+//!   data-parallel kernels ([`pairwise_distances_with`], [`gram`],
+//!   [`KnnIndex::build_with`], [`KnnIndex::query_batch`],
+//!   [`KnnIndex::self_query_batch`]). Every kernel takes an explicit
+//!   thread count and produces bit-identical results for every value
+//!   of it.
 //! * [`neighbor_cache`] — fingerprint-keyed [`NeighborCache`] that builds
 //!   each [`KnnIndex`] once, sweeps leave-one-out neighbours once at the
 //!   pooled maximum k, and serves exact sorted-prefix views to every
@@ -70,16 +71,13 @@ pub mod snapshot;
 pub mod stats;
 
 pub use distance::{
-    pairwise_distances, pairwise_distances_backend, pairwise_distances_parallel,
-    pairwise_distances_symmetric, pairwise_distances_symmetric_backend,
-    pairwise_distances_symmetric_parallel, pairwise_distances_symmetric_with,
-    pairwise_distances_with, DistanceMetric, KnnIndex, Neighbor,
+    pairwise_distances, pairwise_distances_with, DistanceMetric, KnnIndex, Neighbor,
 };
 pub use eigen::{symmetric_eigen, EigenDecomposition};
 pub use gemm::{
-    gram, matmul_packed, mixed_distance_error_bound, row_sq_norms, row_sq_norms_mixed,
-    set_simd_lane_override, DistanceBackend, KernelConfig, KernelCounters, KernelStats, Precision,
-    SimdLane, DEFAULT_KDTREE_CROSSOVER_DIM, DEFAULT_KDTREE_MIN_ROWS, F32_UNIT_ROUNDOFF,
+    gram, mixed_distance_error_bound, row_sq_norms, row_sq_norms_mixed, set_simd_lane_override,
+    DistanceBackend, KernelConfig, KernelCounters, KernelStats, Precision, SimdLane,
+    DEFAULT_KDTREE_CROSSOVER_DIM, DEFAULT_KDTREE_MIN_ROWS, F32_UNIT_ROUNDOFF,
 };
 pub use hnsw::{
     HnswGraph, HnswParams, NeighborBackend, DEFAULT_EF_CONSTRUCTION, DEFAULT_EF_SEARCH,

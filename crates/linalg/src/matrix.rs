@@ -8,11 +8,6 @@
 
 use crate::{Error, Result};
 
-/// k-tile width for [`Matrix::matmul_blocked`]: 64 doubles = 512 bytes
-/// per `a` segment, keeping a tile of `b` rows resident in L1/L2 while a
-/// whole row block streams through it.
-const MATMUL_K_TILE: usize = 64;
-
 /// A dense, row-major matrix of `f64` values.
 ///
 /// # Example
@@ -257,54 +252,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Cache-blocked matrix product `self * other`, k-tiled and
-    /// parallelized over row blocks.
-    ///
-    /// The k loop is tiled (`MATMUL_K_TILE` wide) *outside* the row
-    /// loop, so each tile of `other`'s rows stays hot in cache while
-    /// every row of the thread's block consumes it. Per output element
-    /// the accumulation still runs over `k` in strictly ascending order
-    /// — exactly the order [`matmul`](Self::matmul) uses — so the result
-    /// is **bit-identical** to `matmul` for every `n_threads`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ShapeMismatch`] when `self.ncols() != other.nrows()`.
-    pub fn matmul_blocked(&self, other: &Matrix, n_threads: usize) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(Error::ShapeMismatch {
-                op: "matmul",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let inner = self.cols;
-        let out_cols = other.cols;
-        let mut out = Matrix::zeros(self.rows, out_cols);
-        let a_data = &self.data;
-        let b_data = &other.data;
-        crate::parallel::par_row_blocks(&mut out.data, out_cols, n_threads, |rows, block| {
-            for k0 in (0..inner).step_by(MATMUL_K_TILE) {
-                let k1 = (k0 + MATMUL_K_TILE).min(inner);
-                for (offset, out_row) in block.chunks_mut(out_cols).enumerate() {
-                    let i = rows.start + offset;
-                    let a_tile = &a_data[i * inner + k0..i * inner + k1];
-                    for (t, &a) in a_tile.iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let k = k0 + t;
-                        let b_row = &b_data[k * out_cols..(k + 1) * out_cols];
-                        for (o, &b) in out_row.iter_mut().zip(b_row) {
-                            *o += a * b;
-                        }
-                    }
-                }
-            }
-        });
-        Ok(out)
-    }
-
     /// Matrix-vector product `self * v`.
     ///
     /// # Errors
@@ -496,39 +443,6 @@ mod tests {
             a.matmul(&b).unwrap_err(),
             Error::ShapeMismatch { op: "matmul", .. }
         ));
-    }
-
-    #[test]
-    fn matmul_blocked_bit_identical() {
-        // Shapes straddling the k-tile width and odd row counts so the
-        // block split is uneven.
-        for (m, k, n) in [(7, 5, 9), (33, 70, 21), (65, 130, 3), (1, 200, 1)] {
-            let mut s = (m * 1000 + k * 10 + n) as u64;
-            let mut next = move || {
-                s = s
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-            };
-            let a = Matrix::from_vec(m, k, (0..m * k).map(|_| next()).collect()).unwrap();
-            let b = Matrix::from_vec(k, n, (0..k * n).map(|_| next()).collect()).unwrap();
-            let base = a.matmul(&b).unwrap();
-            for threads in [1usize, 2, 4, 8] {
-                let blocked = a.matmul_blocked(&b, threads).unwrap();
-                assert_eq!(
-                    blocked.as_slice(),
-                    base.as_slice(),
-                    "shape ({m},{k},{n}) threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_blocked_shape_error() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(a.matmul_blocked(&b, 2).is_err());
     }
 
     #[test]

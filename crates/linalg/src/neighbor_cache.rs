@@ -183,7 +183,7 @@ impl NeighborGraph {
         observer: &dyn Observer,
     ) -> Result<Self> {
         let span = observer.span_begin(Stage::NeighborBuild, SpanAttrs::none());
-        let index = KnnIndex::build_with_threads(x, metric, config, n_threads.max(1));
+        let index = KnnIndex::build_with(x, metric, config, n_threads.max(1));
         observer.span_end(span);
         let index = Arc::new(index?);
         let span = observer.span_begin(Stage::NeighborQuery, SpanAttrs::none());

@@ -145,7 +145,6 @@ impl SnapshotWriter {
     /// Writes a full [`KernelConfig`] including the neighbour backend.
     pub fn write_kernel_config(&mut self, config: &KernelConfig) {
         self.write_u8(match config.backend {
-            DistanceBackend::Naive => 0,
             DistanceBackend::Blocked => 1,
             DistanceBackend::Gemm => 2,
         });
@@ -292,21 +291,25 @@ impl<'a> SnapshotReader<'a> {
         Matrix::from_vec(rows, cols, data)
     }
 
-    /// Reads a distance metric.
+    /// Reads a distance metric, rejecting a Minkowski exponent that is
+    /// not a finite `p >= 1`.
     pub fn read_metric(&mut self) -> Result<DistanceMetric> {
         match self.read_u8()? {
             0 => Ok(DistanceMetric::Euclidean),
             1 => Ok(DistanceMetric::Manhattan),
-            2 => Ok(DistanceMetric::Minkowski(self.read_f64()?)),
+            2 => match self.read_f64()? {
+                p if p.is_finite() && p >= 1.0 => Ok(DistanceMetric::Minkowski(p)),
+                p => Err(corrupt(&format!("invalid Minkowski exponent {p}"))),
+            },
             other => Err(corrupt(&format!("unknown metric tag {other}"))),
         }
     }
 
-    /// Reads a [`KernelConfig`].
+    /// Reads a [`KernelConfig`]. Backend tag 0 named a per-pair loop with
+    /// the same bits as `Blocked`; it decodes as `Blocked`.
     pub fn read_kernel_config(&mut self) -> Result<KernelConfig> {
         let backend = match self.read_u8()? {
-            0 => DistanceBackend::Naive,
-            1 => DistanceBackend::Blocked,
+            0 | 1 => DistanceBackend::Blocked,
             2 => DistanceBackend::Gemm,
             other => return Err(corrupt(&format!("unknown backend tag {other}"))),
         };
@@ -434,6 +437,33 @@ mod tests {
         assert!(r.read_f64s().is_err());
         let mut r = SnapshotReader::new(&bytes);
         assert!(r.read_bytes().is_err());
+    }
+
+    #[test]
+    fn invalid_minkowski_exponents_rejected() {
+        for p in [f64::NAN, f64::INFINITY, 0.5, 0.0] {
+            let mut w = SnapshotWriter::new();
+            w.write_metric(DistanceMetric::Minkowski(p));
+            let err = SnapshotReader::new(w.as_bytes()).read_metric().unwrap_err();
+            assert!(err.to_string().contains("snapshot:"), "p={p}: {err}");
+        }
+    }
+
+    #[test]
+    fn retired_backend_tag_decodes_as_blocked() {
+        let mut w = SnapshotWriter::new();
+        w.write_kernel_config(&KernelConfig::default());
+        let mut bytes = w.into_bytes();
+        assert_eq!(bytes[0], 1, "blocked is written as tag 1");
+        bytes[0] = 0;
+        let config = SnapshotReader::new(&bytes).read_kernel_config().unwrap();
+        assert_eq!(config.backend, DistanceBackend::Blocked);
+        let mut w = SnapshotWriter::new();
+        w.write_kernel_config(&config);
+        assert_eq!(w.as_bytes()[0], 1);
+        assert_eq!(&w.as_bytes()[1..], &bytes[1..]);
+        bytes[0] = 3;
+        assert!(SnapshotReader::new(&bytes).read_kernel_config().is_err());
     }
 
     #[test]

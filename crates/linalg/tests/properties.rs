@@ -1,11 +1,12 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use proptest::prelude::*;
+use suod_linalg::distance::reference_pairwise_distances;
 use suod_linalg::rank::{argsort, average_ranks, ordinal_ranks};
 use suod_linalg::stats::{zscore_in_place, Standardizer};
 use suod_linalg::{
-    pairwise_distances, pairwise_distances_backend, symmetric_eigen, DistanceBackend,
-    DistanceMetric, KernelConfig, KnnIndex, Matrix,
+    pairwise_distances, pairwise_distances_with, symmetric_eigen, DistanceBackend, DistanceMetric,
+    KernelConfig, KnnIndex, Matrix,
 };
 
 fn small_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
@@ -13,6 +14,15 @@ fn small_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
         proptest::collection::vec(-100.0f64..100.0, r * c)
             .prop_map(move |data| Matrix::from_vec(r, c, data).expect("sized"))
     })
+}
+
+/// Exact config with the KD-tree disabled: blocked brute force only.
+fn brute_force() -> KernelConfig {
+    KernelConfig::default().with_kdtree_crossover_dim(0)
+}
+
+fn gemm() -> KernelConfig {
+    KernelConfig::default().with_backend(DistanceBackend::Gemm)
 }
 
 /// A compatible `(m x k, k x n)` multiplication pair.
@@ -161,7 +171,7 @@ proptest! {
         for metric in [DistanceMetric::Euclidean, DistanceMetric::Manhattan] {
             let auto = suod_linalg::KnnIndex::build(&pts, metric).unwrap();
             prop_assert!(auto.uses_kdtree());
-            let brute = suod_linalg::KnnIndex::build_brute_force(&pts, metric).unwrap();
+            let brute = KnnIndex::build_with(&pts, metric, brute_force(), 1).unwrap();
             let q: Vec<f64> = (0..d).map(|_| rng.random_range(-60.0..60.0)).collect();
             prop_assert_eq!(auto.query(&q, k), brute.query(&q, k));
         }
@@ -233,14 +243,16 @@ proptest! {
 
     #[test]
     fn packed_matmul_matches_naive((a, b) in matmul_pair(9)) {
-        // The packed 4x4 micro-kernel reassociates nothing within an
-        // output element (single accumulator, ascending k), so it stays
-        // within tight relative tolerance of the skip-zero naive loop —
-        // and is bit-identical across thread counts.
+        // The packed 4x8 micro-kernel behind `gram(a, bᵀ) = a·b`
+        // reassociates nothing within an output element (single
+        // accumulator, ascending k), so it stays within tight relative
+        // tolerance of the skip-zero naive loop — and is bit-identical
+        // across thread counts.
         let naive = a.matmul(&b).unwrap();
-        let t1 = suod_linalg::matmul_packed(&a, &b, 1, None).unwrap();
+        let bt = b.transpose();
+        let t1 = suod_linalg::gram(&a, &bt, 1, None).unwrap();
         for t in [2usize, 5] {
-            let tn = suod_linalg::matmul_packed(&a, &b, t, None).unwrap();
+            let tn = suod_linalg::gram(&a, &bt, t, None).unwrap();
             prop_assert_eq!(tn.as_slice(), t1.as_slice());
         }
         for (x, y) in t1.as_slice().iter().zip(naive.as_slice()) {
@@ -252,11 +264,10 @@ proptest! {
     #[test]
     fn blocked_distances_bit_identical_to_naive(m in small_matrix(8)) {
         for metric in [DistanceMetric::Euclidean, DistanceMetric::Manhattan] {
-            let naive = pairwise_distances_backend(
-                &m, &m, metric, DistanceBackend::Naive, 1, None).unwrap();
+            let naive = reference_pairwise_distances(&m, &m, metric);
             for t in [1usize, 3] {
-                let blocked = pairwise_distances_backend(
-                    &m, &m, metric, DistanceBackend::Blocked, t, None).unwrap();
+                let blocked = pairwise_distances_with(
+                    &m, &m, metric, KernelConfig::default(), t, None).unwrap();
                 prop_assert_eq!(blocked.as_slice(), naive.as_slice());
             }
         }
@@ -267,16 +278,15 @@ proptest! {
         // Compare squared distances: the norm trick's error is relative
         // to the norms (`||x||^2 + ||y||^2`), not to the distance itself,
         // which for near-duplicate rows can be arbitrarily smaller.
-        let naive = pairwise_distances_backend(
-            &m, &m, DistanceMetric::Euclidean, DistanceBackend::Naive, 1, None).unwrap();
+        let naive = reference_pairwise_distances(&m, &m, DistanceMetric::Euclidean);
         let norms: Vec<f64> = (0..m.nrows())
             .map(|i| m.row(i).iter().map(|v| v * v).sum())
             .collect();
-        let g1 = pairwise_distances_backend(
-            &m, &m, DistanceMetric::Euclidean, DistanceBackend::Gemm, 1, None).unwrap();
+        let g1 = pairwise_distances_with(
+            &m, &m, DistanceMetric::Euclidean, gemm(), 1, None).unwrap();
         for t in [2usize, 5] {
-            let gt = pairwise_distances_backend(
-                &m, &m, DistanceMetric::Euclidean, DistanceBackend::Gemm, t, None).unwrap();
+            let gt = pairwise_distances_with(
+                &m, &m, DistanceMetric::Euclidean, gemm(), t, None).unwrap();
             prop_assert_eq!(gt.as_slice(), g1.as_slice());
         }
         for i in 0..m.nrows() {
@@ -313,10 +323,9 @@ proptest! {
         rows.push(rows[0].clone());
         rows.push(rows[n / 2].clone());
         let m = Matrix::from_rows(&rows).unwrap();
-        let naive = pairwise_distances_backend(
-            &m, &m, DistanceMetric::Euclidean, DistanceBackend::Naive, 1, None).unwrap();
-        let gemm = pairwise_distances_backend(
-            &m, &m, DistanceMetric::Euclidean, DistanceBackend::Gemm, 1, None).unwrap();
+        let naive = reference_pairwise_distances(&m, &m, DistanceMetric::Euclidean);
+        let gemm = pairwise_distances_with(
+            &m, &m, DistanceMetric::Euclidean, gemm(), 1, None).unwrap();
         let norms: Vec<f64> = (0..m.nrows())
             .map(|i| m.row(i).iter().map(|v| v * v).sum())
             .collect();
@@ -353,17 +362,19 @@ proptest! {
             kdtree_crossover_dim: 0,
             ..KernelConfig::default()
         };
-        let naive = KnnIndex::build_with(
-            &pts, DistanceMetric::Euclidean, brute(DistanceBackend::Naive)).unwrap();
+        // The reference is per-row `query()` on a blocked index: the
+        // untiled scan, one query against every training row.
+        let brute_index = KnnIndex::build_with(
+            &pts, DistanceMetric::Euclidean, brute(DistanceBackend::Blocked), 1).unwrap();
         let reference: Vec<Vec<suod_linalg::distance::Neighbor>> =
-            (0..queries.nrows()).map(|i| naive.query(queries.row(i), k)).collect();
+            (0..queries.nrows()).map(|i| brute_index.query(queries.row(i), k)).collect();
         for backend in [DistanceBackend::Blocked, DistanceBackend::Gemm] {
             let index = KnnIndex::build_with(
-                &pts, DistanceMetric::Euclidean, brute(backend)).unwrap();
+                &pts, DistanceMetric::Euclidean, brute(backend), 1).unwrap();
             for t in [1usize, 3] {
-                let batch = index.query_batch_parallel(&queries, k, t).unwrap();
+                let batch = index.query_batch(&queries, k, t).unwrap();
                 for (row, (got, want)) in batch.iter().zip(&reference).enumerate() {
-                    if backend.is_bit_identical_to_naive() {
+                    if backend == DistanceBackend::Blocked {
                         prop_assert_eq!(got, want, "row {} t {}", row, t);
                     } else {
                         // Gemm may perturb last-bit distances; the index

@@ -70,7 +70,7 @@ impl Regressor for KnnRegressor {
             .index
             .as_ref()
             .ok_or(Error::NotFitted("KnnRegressor"))?;
-        let neighbors = index.query_batch(x, self.k)?;
+        let neighbors = index.query_batch(x, self.k, 1)?;
         Ok(neighbors
             .into_iter()
             .map(|nn| {

@@ -98,7 +98,8 @@ fn self_recall_at_k(x: &Matrix, k: usize) -> f64 {
         neighbor: hnsw_always(),
         ..KernelConfig::default()
     };
-    let approx = KnnIndex::build_with(x, DistanceMetric::Euclidean, approx_cfg).expect("non-empty");
+    let approx =
+        KnnIndex::build_with(x, DistanceMetric::Euclidean, approx_cfg, 1).expect("non-empty");
     assert!(approx.uses_hnsw(), "hnsw backend must engage");
     let found = approx.self_query_batch(k, 1);
     let mut hits = 0usize;

@@ -2,7 +2,8 @@
 //!
 //! The `DistanceBackend` selector changes *how* the proximity detectors
 //! compute distances, never *what* the estimator means: `Blocked` (the
-//! default) must reproduce the scalar reference bit for bit, `Gemm` must
+//! default) must reproduce an independent exact path (every index a
+//! KD-tree) bit for bit, `Gemm` must
 //! stay deterministic for a fixed configuration regardless of worker
 //! count, and the KD-tree crossover knob must not change any score
 //! (tree and brute force are exact over the same metric).
@@ -82,19 +83,28 @@ fn queries_for(x: &Matrix) -> Matrix {
 fn blocked_default_reproduces_naive_bitwise_end_to_end() {
     let ds = registry::load_scaled("cardio", 5, 0.2).expect("registry dataset");
     let queries = queries_for(&ds.x);
-    let (train_n, query_n) = fit_and_score(DistanceBackend::Naive, None, 1, &ds.x, &queries);
+    // The independent exact reference: the same pool with every index a
+    // KD-tree, whose branch-and-bound search shares no sweep code with
+    // the blocked brute force.
+    let (train_n, query_n) = fit_and_score(
+        DistanceBackend::Blocked,
+        Some(usize::MAX),
+        1,
+        &ds.x,
+        &queries,
+    );
     for workers in [1usize, 4] {
         let (train_b, query_b) =
             fit_and_score(DistanceBackend::Blocked, None, workers, &ds.x, &queries);
         assert_eq!(
             train_n.as_slice(),
             train_b.as_slice(),
-            "blocked != naive training scores at n_workers={workers}"
+            "blocked != KD-tree training scores at n_workers={workers}"
         );
         assert_eq!(
             query_n.as_slice(),
             query_b.as_slice(),
-            "blocked != naive query scores at n_workers={workers}"
+            "blocked != KD-tree query scores at n_workers={workers}"
         );
     }
 }
